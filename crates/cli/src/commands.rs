@@ -873,7 +873,6 @@ pub fn loadgen(args: LoadgenCliArgs) -> Result<String, CliError> {
     if let Some(pipeline) = args.pipeline {
         config.pipeline = pipeline;
     }
-    config.legacy_threads = args.legacy_threads;
     config.cluster = args.cluster;
     // Backoff jitter follows the mix seed so two runs retry identically.
     config.retry = lotus_resilience::RetryPolicy::serve_default(config.seed);
@@ -1393,7 +1392,6 @@ mod tests {
             deadline_ms: None,
             json: Some(json.clone()),
             pipeline: Some(2),
-            legacy_threads: false,
             cluster: false,
         })
         .unwrap();
@@ -1474,7 +1472,6 @@ mod tests {
             deadline_ms: None,
             json: Some(json.clone()),
             pipeline: Some(2),
-            legacy_threads: false,
             cluster: true,
         })
         .unwrap();

@@ -1,8 +1,13 @@
 //! The cluster coordinator daemon (DESIGN.md §16).
 //!
-//! A thread-per-connection LSRV front-end that owns the shard map and
-//! answers the same wire protocol as a single `lotus-serve` daemon —
-//! clients do not change. Graph queries fan out to every shard holding
+//! A [`Handler`] on `lotus-serve`'s event-loop frontend that owns the
+//! shard map and answers the same wire protocol as a single
+//! `lotus-serve` daemon — clients do not change, and the coordinator
+//! inherits the frontend's admission control, connection quota, idle
+//! eviction, in-order pipelining, error taxonomy and drain. `Ping`,
+//! `Stats` and `Drain` answer on the loop thread; everything else
+//! blocks on the network or on fsync and runs on the frontend's worker
+//! pool. Graph queries fan out to every shard holding
 //! a partition (over the pipelined [`crate::fleet`]), and per-shard
 //! answers merge into one exact result:
 //!
@@ -29,20 +34,20 @@
 //! what it needs from the map, releases it, fans out, then re-acquires
 //! to record the outcome. No ordering edges, no cycles.
 
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lotus_resilience::retry::RetryPolicy;
 use lotus_resilience::Deadline;
+use lotus_serve::event_loop::{self, Frontend, Handler};
 use lotus_serve::journal::{read_journal, Journal, JournalRecord};
-use lotus_serve::proto::{
-    self, ErrorKind, Request, Response, StatsReply, MAX_BATCH, NO_DEADLINE,
-};
+use lotus_serve::proto::{ErrorKind, Request, Response, StatsReply, MAX_BATCH};
+use lotus_serve::server::request_deadline;
+use lotus_serve::ServeConfig;
 use lotus_telemetry::counters::{self, Counter};
 use lotus_telemetry::sync::{TracedGuard, TracedMutex};
 
@@ -117,7 +122,6 @@ pub struct ClusterStats {
     fanout_calls: AtomicU64,
     shard_failures: AtomicU64,
     partial_answers: AtomicU64,
-    conns_accepted: AtomicU64,
 }
 
 impl ClusterStats {
@@ -144,15 +148,10 @@ impl ClusterStats {
     pub fn partial_answers(&self) -> u64 {
         self.partial_answers.load(Ordering::Relaxed)
     }
-
-    /// Connections accepted since startup.
-    #[must_use]
-    pub fn conns_accepted(&self) -> u64 {
-        self.conns_accepted.load(Ordering::Relaxed)
-    }
 }
 
-/// Shared coordinator state (map + fleet + journal + counters).
+/// Shared coordinator state (map + fleet + journal + counters) and the
+/// frontend it serves on.
 #[derive(Debug)]
 pub struct ClusterState {
     config: ClusterConfig,
@@ -160,8 +159,9 @@ pub struct ClusterState {
     fleet: TracedMutex<Fleet>,
     journal: Option<TracedMutex<Journal>>,
     stats: ClusterStats,
-    shutdown: AtomicBool,
-    started: Instant,
+    /// Startup replay time of the shard-map journal (0 without one).
+    recovery_ms: u64,
+    frontend: Frontend,
 }
 
 impl ClusterState {
@@ -169,17 +169,6 @@ impl ClusterState {
     #[must_use]
     pub fn stats(&self) -> &ClusterStats {
         &self.stats
-    }
-
-    /// Whether drain has been requested.
-    #[must_use]
-    pub fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
-    /// Requests shutdown: the accept loop exits on its next poll.
-    pub fn begin_drain(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
     }
 
     fn lock_map(&self) -> TracedGuard<'_, ShardMap> {
@@ -229,12 +218,26 @@ impl ClusterState {
         replies
     }
 
-    fn effective_deadline(&self, deadline_ms: u64) -> Deadline {
-        if deadline_ms == NO_DEADLINE {
-            Deadline::after(self.config.default_deadline)
-        } else {
-            Deadline::after(Duration::from_millis(deadline_ms))
-        }
+    /// The request's own deadline, else the configured default.
+    fn effective_deadline(&self, deadline: Option<Deadline>) -> Deadline {
+        deadline.unwrap_or_else(|| Deadline::after(self.config.default_deadline))
+    }
+}
+
+impl Handler for ClusterState {
+    fn frontend(&self) -> &Frontend {
+        &self.frontend
+    }
+
+    /// `Ping`, `Stats` and `Drain` touch no shard; everything else fans
+    /// out, journals, or both, and goes to the pool.
+    fn run_inline(&self, request: &Request) -> Option<Response> {
+        matches!(request, Request::Ping | Request::Stats | Request::Drain)
+            .then(|| answer(self, request, None))
+    }
+
+    fn run_pooled(&self, request: &Request, deadline: Option<Deadline>) -> Response {
+        answer(self, request, deadline)
     }
 }
 
@@ -243,7 +246,7 @@ impl ClusterState {
 pub struct CoordinatorHandle {
     addr: SocketAddr,
     state: Arc<ClusterState>,
-    accept: Option<JoinHandle<()>>,
+    frontend: Option<JoinHandle<()>>,
 }
 
 impl CoordinatorHandle {
@@ -261,13 +264,14 @@ impl CoordinatorHandle {
 
     /// Requests shutdown (same path as a `Drain` request).
     pub fn shutdown(&self) {
-        self.state.begin_drain();
+        self.state.frontend.begin_drain();
     }
 
-    /// Blocks until the accept loop exits. Connections already accepted
-    /// finish serving their client and close when the client does.
+    /// Blocks until the drain finishes: the listener is closed, every
+    /// connection has flushed what it had accepted and is closed, and
+    /// the worker pool is empty.
     pub fn wait(mut self) {
-        if let Some(handle) = self.accept.take() {
+        if let Some(handle) = self.frontend.take() {
             let _ = handle.join();
         }
     }
@@ -275,8 +279,8 @@ impl CoordinatorHandle {
 
 impl Drop for CoordinatorHandle {
     fn drop(&mut self) {
-        self.state.begin_drain();
-        if let Some(handle) = self.accept.take() {
+        self.state.frontend.begin_drain();
+        if let Some(handle) = self.frontend.take() {
             let _ = handle.join();
         }
     }
@@ -284,27 +288,28 @@ impl Drop for CoordinatorHandle {
 
 /// Starts a coordinator: recovers the shard map from the journal (if a
 /// data dir is configured), registers the configured shard endpoints,
-/// binds, and spawns the accept loop.
+/// binds, and starts the event-loop frontend with default settings.
 ///
 /// # Errors
 /// [`ClusterError::Journal`] when the journal cannot be read or opened;
-/// [`ClusterError::Io`] when the listener cannot bind.
+/// [`ClusterError::Io`] when the listener cannot bind or the frontend
+/// cannot start.
 pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
     let mut map = ShardMap::new();
     let mut journal = None;
+    let mut recovery_ms = 0;
     if let Some(dir) = config.data_dir.as_ref() {
         std::fs::create_dir_all(dir).map_err(ClusterError::Journal)?;
         let path = dir.join(CLUSTER_JOURNAL);
         if path.exists() {
+            let replay_started = Instant::now();
             let readout = read_journal(&path).map_err(ClusterError::Journal)?;
             let (recovered, errors) = ShardMap::from_entries(&readout.fold());
             // Per-entry damage is tolerated (the map degrades), but it
             // is not silent: counted for the operator.
-            counters::add(
-                Counter::ClusterMapRecoveryErrors,
-                errors.len() as u64,
-            );
+            counters::add(Counter::ClusterMapRecoveryErrors, errors.len() as u64);
             map = recovered;
+            recovery_ms = replay_started.elapsed().as_millis() as u64;
         }
         journal = Some(TracedMutex::new(
             "cluster.journal",
@@ -333,99 +338,45 @@ pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
         fleet: TracedMutex::new("cluster.fleet", fleet),
         journal,
         stats: ClusterStats::default(),
-        shutdown: AtomicBool::new(false),
-        started: Instant::now(),
+        recovery_ms,
+        frontend: Frontend::new(&ServeConfig::default()).map_err(ClusterError::Io)?,
     });
     for record in &join_records {
-        state.journal_append(record).map_err(ClusterError::Journal)?;
+        state
+            .journal_append(record)
+            .map_err(ClusterError::Journal)?;
     }
 
     let listener = TcpListener::bind((state.config.bind.as_str(), state.config.port))
         .map_err(ClusterError::Io)?;
     let addr = listener.local_addr().map_err(ClusterError::Io)?;
     listener.set_nonblocking(true).map_err(ClusterError::Io)?;
-
-    let accept_state = Arc::clone(&state);
-    let accept = std::thread::Builder::new()
-        .name("cluster-accept".to_string())
-        .spawn(move || accept_loop(&listener, &accept_state))
-        .map_err(ClusterError::Io)?;
+    let frontend = event_loop::start(listener, Arc::clone(&state)).map_err(ClusterError::Io)?;
 
     Ok(CoordinatorHandle {
         addr,
         state,
-        accept: Some(accept),
+        frontend: Some(frontend),
     })
 }
 
-/// Polls the nonblocking listener (via the shared `accept4` fast path)
-/// until drain, handing each connection to its own handler thread.
-fn accept_loop(listener: &TcpListener, state: &Arc<ClusterState>) {
-    while !state.draining() {
-        match lotus_net::accept_nonblocking(listener) {
-            Ok(Some(stream)) => {
-                state.stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_nodelay(true);
-                // The handler reads with blocking frame I/O.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let conn_state = Arc::clone(state);
-                let spawned = std::thread::Builder::new()
-                    .name("cluster-conn".to_string())
-                    .spawn(move || serve_connection(stream, &conn_state));
-                if spawned.is_err() {
-                    // Thread exhaustion: drop the connection rather
-                    // than wedge the accept loop.
-                    continue;
-                }
-            }
-            Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
+/// Answers one client request and counts it as served.
+fn answer(state: &ClusterState, request: &Request, deadline: Option<Deadline>) -> Response {
+    let response = dispatch(state, request, deadline);
+    state.stats.served.fetch_add(1, Ordering::Relaxed);
+    response
 }
 
-/// Serves one client connection: frame in, dispatch, frame out, until
-/// EOF, protocol damage, or `Drain`.
-fn serve_connection(mut stream: TcpStream, state: &Arc<ClusterState>) {
-    loop {
-        let request = match proto::read_frame(&mut stream).and_then(|p| Request::decode(&p)) {
-            Ok(request) => request,
-            Err(proto::ProtoError::Io(_)) => return,
-            Err(e) => {
-                let resp =
-                    Response::error(ErrorKind::Protocol, format!("malformed request: {e}"));
-                let _ = proto::write_response(&mut stream, &resp);
-                return;
-            }
-        };
-        let draining = matches!(request, Request::Drain);
-        let response = dispatch(state, &request);
-        state.stats.served.fetch_add(1, Ordering::Relaxed);
-        if proto::write_response(&mut stream, &response).is_err() {
-            return;
-        }
-        let _ = stream.flush();
-        if draining {
-            state.begin_drain();
-            return;
-        }
-    }
-}
-
-/// Routes one request to its cluster semantics.
-fn dispatch(state: &Arc<ClusterState>, request: &Request) -> Response {
+/// Routes one request to its cluster semantics; `deadline` is the
+/// request's own, fixed at admission.
+fn dispatch(state: &ClusterState, request: &Request, deadline: Option<Deadline>) -> Response {
     match request {
         Request::Ping => Response::Pong,
         Request::Stats => Response::Stats(coordinator_stats(state)),
-        Request::Count { name, deadline_ms } => run_count(state, name, *deadline_ms),
+        Request::Count { name, .. } => run_count(state, name, deadline),
         Request::PerVertex {
-            name,
-            start,
-            end,
-            deadline_ms,
-        } => run_per_vertex(state, name, *start, *end, *deadline_ms),
+            name, start, end, ..
+        } => run_per_vertex(state, name, *start, *end, deadline),
         Request::KClique { .. } => Response::error(
             ErrorKind::BadRequest,
             "k-clique queries are not supported in cluster mode (DESIGN.md §16)",
@@ -446,11 +397,11 @@ fn dispatch(state: &Arc<ClusterState>, request: &Request) -> Response {
 }
 
 /// `Count`: fan `ShardCount` to the placement's shards and sum.
-fn run_count(state: &Arc<ClusterState>, name: &str, deadline_ms: u64) -> Response {
+fn run_count(state: &ClusterState, name: &str, deadline: Option<Deadline>) -> Response {
     let Some(placement) = state.lock_map().placement(name).cloned() else {
         return placement_not_found(name);
     };
-    let deadline = state.effective_deadline(deadline_ms);
+    let deadline = state.effective_deadline(deadline);
     let started = Instant::now();
     let calls: Vec<ShardCall> = (0..placement.parts as usize)
         .map(|shard| {
@@ -486,10 +437,7 @@ fn run_count(state: &Arc<ClusterState>, name: &str, deadline_ms: u64) -> Respons
         };
     }
     if state.config.allow_partial && live > 0 {
-        state
-            .stats
-            .partial_answers
-            .fetch_add(1, Ordering::Relaxed);
+        state.stats.partial_answers.fetch_add(1, Ordering::Relaxed);
         counters::add(Counter::ClusterPartialAnswers, 1);
         // Degraded mode: a partial sum over the live shards, flagged
         // `cached: false` so callers can tell it from an exact answer.
@@ -506,16 +454,16 @@ fn run_count(state: &Arc<ClusterState>, name: &str, deadline_ms: u64) -> Respons
 /// resolves the default `(0, 0)` window identically (the shard CSR
 /// keeps full vertex width), so windows always line up.
 fn run_per_vertex(
-    state: &Arc<ClusterState>,
+    state: &ClusterState,
     name: &str,
     start: u32,
     end: u32,
-    deadline_ms: u64,
+    deadline: Option<Deadline>,
 ) -> Response {
     let Some(placement) = state.lock_map().placement(name).cloned() else {
         return placement_not_found(name);
     };
-    let deadline = state.effective_deadline(deadline_ms);
+    let deadline = state.effective_deadline(deadline);
     let calls: Vec<ShardCall> = (0..placement.parts as usize)
         .map(|shard| {
             (
@@ -564,7 +512,7 @@ fn run_per_vertex(
 
 /// `LoadGraph`: place the graph across the whole current fleet. All
 /// shards must load; the placement is journaled before the reply.
-fn run_load(state: &Arc<ClusterState>, name: &str, spec: &str) -> Response {
+fn run_load(state: &ClusterState, name: &str, spec: &str) -> Response {
     let parts = state.lock_map().endpoints().len() as u32;
     if parts == 0 {
         return Response::error(
@@ -633,7 +581,7 @@ fn run_load(state: &Arc<ClusterState>, name: &str, spec: &str) -> Response {
 }
 
 /// `EvictGraph`: drop the placement everywhere it lives, then unrecord.
-fn run_evict(state: &Arc<ClusterState>, name: &str) -> Response {
+fn run_evict(state: &ClusterState, name: &str) -> Response {
     let Some(placement) = state.lock_map().placement(name).cloned() else {
         return Response::Evicted { existed: false };
     };
@@ -665,7 +613,7 @@ fn run_evict(state: &Arc<ClusterState>, name: &str) -> Response {
 
 /// `ShardJoin`: append the endpoint to the fleet (idempotent) and
 /// journal the membership.
-fn run_join(state: &Arc<ClusterState>, addr: &str) -> Response {
+fn run_join(state: &ClusterState, addr: &str) -> Response {
     let joined = state.lock_map().join(addr);
     let shards;
     if let Some((_index, (key, value))) = joined {
@@ -687,7 +635,7 @@ fn run_join(state: &Arc<ClusterState>, addr: &str) -> Response {
 }
 
 /// `ShardStat` on the coordinator: merged occupancy across the fleet.
-fn run_fleet_stat(state: &Arc<ClusterState>) -> Response {
+fn run_fleet_stat(state: &ClusterState) -> Response {
     let parts = state.lock_map().endpoints().len();
     if parts == 0 {
         return Response::ShardStat {
@@ -698,7 +646,9 @@ fn run_fleet_stat(state: &Arc<ClusterState>) -> Response {
         };
     }
     let deadline = Deadline::after(state.config.default_deadline);
-    let calls: Vec<ShardCall> = (0..parts).map(|shard| (shard, Request::ShardStat)).collect();
+    let calls: Vec<ShardCall> = (0..parts)
+        .map(|shard| (shard, Request::ShardStat))
+        .collect();
     let replies = state.fan_out(&calls, deadline);
     let mut graphs = 0u32;
     let mut owned = 0u64;
@@ -737,7 +687,7 @@ fn run_fleet_stat(state: &Arc<ClusterState>) -> Response {
 /// `Batch`: sequential evaluation of the non-admin sub-requests the
 /// coordinator supports. Admin and nested batches answer per-item
 /// typed errors, same shape as single-node batching.
-fn run_batch(state: &Arc<ClusterState>, items: &[Request]) -> Response {
+fn run_batch(state: &ClusterState, items: &[Request]) -> Response {
     if items.len() > MAX_BATCH {
         return Response::error(
             ErrorKind::BadRequest,
@@ -751,7 +701,7 @@ fn run_batch(state: &Arc<ClusterState>, items: &[Request]) -> Response {
             | Request::Stats
             | Request::Count { .. }
             | Request::PerVertex { .. }
-            | Request::ShardStat => dispatch(state, item),
+            | Request::ShardStat => dispatch(state, item, request_deadline(item)),
             _ => Response::error(
                 ErrorKind::BadRequest,
                 "only Ping/Stats/Count/PerVertex/ShardStat may be batched on a coordinator",
@@ -761,10 +711,11 @@ fn run_batch(state: &Arc<ClusterState>, items: &[Request]) -> Response {
     Response::Batch(responses)
 }
 
-/// The coordinator's own `Stats` reply: map occupancy plus coordinator
-/// counters. Registry/pool fields stay zero — there is no registry or
-/// worker pool here, and honest zeros beat fabricated numbers.
-fn coordinator_stats(state: &Arc<ClusterState>) -> StatsReply {
+/// The coordinator's own `Stats` reply: map occupancy, coordinator
+/// counters and the frontend's connection and pool figures. Registry
+/// and durability fields stay zero — there is no registry here, and
+/// honest zeros beat fabricated numbers.
+fn coordinator_stats(state: &ClusterState) -> StatsReply {
     let (graphs, shards) = {
         let map = state.lock_map();
         (map.graphs() as u32, map.endpoints().len() as u32)
@@ -772,13 +723,12 @@ fn coordinator_stats(state: &Arc<ClusterState>) -> StatsReply {
     StatsReply {
         graphs,
         requests_served: state.stats.served(),
-        conns_accepted: state.stats.conns_accepted(),
         // Reuse the worker-count slot for fleet size: the closest
         // analogue a coordinator has to "how much parallelism behind
         // this socket".
         workers: shards,
-        recovery_ms: state.started.elapsed().as_millis() as u64,
-        ..StatsReply::default()
+        recovery_ms: state.recovery_ms,
+        ..state.frontend.stats_reply()
     }
 }
 

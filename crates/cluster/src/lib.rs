@@ -19,9 +19,10 @@
 //!   `(key, value)` pairs).
 //! * [`fleet`] — the fan-out engine: one multiplexed nonblocking
 //!   connection per shard, pipelined requests, one poller, deadlines.
-//! * [`coordinator`] — the daemon: accept loop, dispatch, merge logic,
-//!   typed `ShardUnavailable` on slow/dead shards, optional degraded
-//!   partial counts.
+//! * [`coordinator`] — the daemon: a request handler on `lotus-serve`'s
+//!   event-loop frontend (which owns the connections), dispatch, merge
+//!   logic, typed `ShardUnavailable` on slow/dead shards, optional
+//!   degraded partial counts.
 
 pub mod coordinator;
 pub mod fleet;

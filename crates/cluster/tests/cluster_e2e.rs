@@ -8,12 +8,19 @@
 //!   the request deadline — not a hang;
 //! * the degraded partial mode (flagged on) answers with a partial sum
 //!   marked `cached: false`;
-//! * the shard map journal survives a coordinator restart.
+//! * the shard map journal survives a coordinator restart;
+//! * the coordinator runs on serve's frontend: an undecodable frame
+//!   gets `bad_request` on a connection that stays open, and a finished
+//!   drain has closed every connection.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use lotus_cluster::{spawn as spawn_coordinator, ClusterConfig, CoordinatorHandle};
-use lotus_serve::proto::{ErrorKind, Request, Response, NO_DEADLINE};
+use lotus_serve::proto::{
+    read_response, write_frame, write_request, ErrorKind, Request, Response, NO_DEADLINE,
+};
 use lotus_serve::{spawn as spawn_serve, Client, ServeConfig, ServerHandle};
 
 fn shard_daemon() -> ServerHandle {
@@ -95,7 +102,10 @@ fn sharded_answers_are_bit_identical_to_single_node() {
         else {
             panic!("cluster count failed for {spec}");
         };
-        assert_eq!(triangles, expected_count, "sharded Count must be exact ({spec})");
+        assert_eq!(
+            triangles, expected_count,
+            "sharded Count must be exact ({spec})"
+        );
         assert!(cached, "a full fan-out answer is not partial");
 
         let Response::PerVertex { start, counts } = client
@@ -110,7 +120,10 @@ fn sharded_answers_are_bit_identical_to_single_node() {
             panic!("cluster per-vertex failed for {spec}");
         };
         assert_eq!(start, 0);
-        assert_eq!(counts, expected_pv, "sharded PerVertex must be exact ({spec})");
+        assert_eq!(
+            counts, expected_pv,
+            "sharded PerVertex must be exact ({spec})"
+        );
     }
 
     // Merged fleet occupancy reflects both placements on all 3 shards.
@@ -312,5 +325,84 @@ fn shard_map_journal_survives_coordinator_restart() {
     second.shutdown();
     a.shutdown();
     b.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn undecodable_frame_gets_bad_request_and_keeps_the_connection() {
+    let coordinator = coordinator_for(&[], false);
+    let mut stream = TcpStream::connect(coordinator.addr()).expect("connect coordinator");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    // CRC-valid frame whose first payload byte is no known request tag.
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &[0xEEu8, 1, 2, 3]).expect("frame");
+    stream.write_all(&wire).expect("write");
+    match read_response(&mut stream).expect("error response") {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::BadRequest),
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    // The stream is still synchronized: the same connection answers.
+    let mut wire = Vec::new();
+    write_request(&mut wire, &Request::Ping).expect("encode");
+    stream.write_all(&wire).expect("write");
+    assert_eq!(
+        read_response(&mut stream).expect("ping on same connection"),
+        Response::Pong
+    );
+    coordinator.shutdown();
+}
+
+#[test]
+fn drain_closes_connections_already_open() {
+    let coordinator = coordinator_for(&[], false);
+    let mut stream = TcpStream::connect(coordinator.addr()).expect("connect coordinator");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    // One round trip, so the connection is accepted and being served.
+    let mut wire = Vec::new();
+    write_request(&mut wire, &Request::Ping).expect("encode");
+    stream.write_all(&wire).expect("write");
+    assert_eq!(read_response(&mut stream).expect("ping"), Response::Pong);
+
+    coordinator.shutdown();
+    coordinator.wait();
+    let mut buf = [0u8; 16];
+    let read = stream.read(&mut buf);
+    assert!(
+        matches!(read, Ok(0)),
+        "an open connection must read EOF once the drain finished, got {read:?}"
+    );
+}
+
+#[test]
+fn recovery_ms_is_journal_replay_time_not_uptime() {
+    let dir = std::env::temp_dir().join(format!(
+        "lotus-cluster-recovery-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Journal one shard endpoint; nothing dials it until a fan-out.
+    let config = ClusterConfig {
+        shards: vec!["127.0.0.1:1".to_string()],
+        data_dir: Some(dir.clone()),
+        ..ClusterConfig::default()
+    };
+    spawn_coordinator(config.clone())
+        .expect("spawn first coordinator")
+        .shutdown();
+
+    let second = spawn_coordinator(config).expect("spawn second coordinator");
+    std::thread::sleep(Duration::from_millis(300));
+    let mut client = Client::connect(second.addr()).expect("connect");
+    let Response::Stats(stats) = client.call(&Request::Stats).expect("stats") else {
+        panic!("stats failed");
+    };
+    assert!(stats.recovery_ms < 300, "{stats:?}");
+    assert_eq!(stats.workers, 1, "workers reports the fleet size");
+    second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,5 +1,8 @@
 //! The readiness event loop: per-connection state machines multiplexed
-//! over `lotus_net::Poller` (DESIGN.md §14).
+//! over `lotus_net::Poller` (DESIGN.md §14). It is the one connection
+//! frontend of the workspace: the `lotus-serve` daemon and the
+//! `lotus-cluster` coordinator both run on it, each plugging in a
+//! [`Handler`] that maps decoded requests to responses.
 //!
 //! One acceptor thread owns the listener and the connection quota; a
 //! small set of event-loop threads each own a poller, a timer wheel,
@@ -22,31 +25,32 @@
 //! backlog passes [`WRITE_BACKLOG_CAP`]) the loop simply stops reading
 //! that socket until completions drain it.
 //!
-//! Error taxonomy (unchanged from the blocking daemon): framing damage
-//! → typed `protocol` error then close (the stream cannot be
-//! resynchronized); a CRC-valid frame that does not decode → typed
-//! `bad_request`, connection stays open; EOF between frames → silent
-//! close. Idle and slow-loris connections are evicted by the
-//! [`TimerWheel`] once they make no read progress for the configured
-//! idle timeout with nothing in flight.
+//! Error taxonomy: framing damage → typed `protocol` error then close
+//! (the stream cannot be resynchronized); a CRC-valid frame that does
+//! not decode → typed `bad_request`, connection stays open; EOF between
+//! frames → silent close. Idle and slow-loris connections are evicted
+//! by the [`TimerWheel`] once they make no read progress for the
+//! configured idle timeout with nothing in flight.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lotus_net::{Event, Events, Interest, Poller, Token, Waker};
+use lotus_resilience::{CancelToken, Deadline};
 use lotus_telemetry::{counters, Counter};
 
-use crate::proto::{frame_response, try_parse_frame, ErrorKind, FrameProgress, Request, Response};
-use crate::server::{
-    overloaded_response, request_deadline, run_inline, run_pooled, LoopCounters, ServeConfig,
-    ServerState,
+use crate::pool::WorkerPool;
+use crate::proto::{
+    frame_response, try_parse_frame, ErrorKind, FrameProgress, LoopStat, Request, Response,
+    StatsReply,
 };
+use crate::server::{request_deadline, ServeConfig};
 use crate::timer::TimerWheel;
 
 /// Waker token on every poller (acceptor and loops).
@@ -75,16 +79,16 @@ const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
 /// Resolved network configuration (zeros replaced by defaults).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct NetConfig {
-    pub(crate) event_threads: usize,
-    pub(crate) max_conns: usize,
-    pub(crate) max_inflight: usize,
-    pub(crate) idle_timeout: Duration,
+struct NetConfig {
+    event_threads: usize,
+    max_conns: usize,
+    max_inflight: usize,
+    idle_timeout: Duration,
 }
 
 impl NetConfig {
     /// Applies defaults to the user-facing [`ServeConfig`] fields.
-    pub(crate) fn resolve(config: &ServeConfig) -> NetConfig {
+    fn resolve(config: &ServeConfig) -> NetConfig {
         let event_threads = if config.event_threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| (p.get() / 4).clamp(1, 4))
         } else {
@@ -109,6 +113,166 @@ impl NetConfig {
             },
         }
     }
+}
+
+/// What a daemon plugs into the frontend: how to answer each decoded
+/// request. The frontend owns sockets, quotas, timers, pipelining,
+/// drain and the bounded pool; a handler only maps requests to
+/// responses. `lotus-serve` answers from its local registry, the
+/// cluster coordinator by fanning out to its shards.
+pub trait Handler: Send + Sync + 'static {
+    /// The frontend runtime this handler's connections run on.
+    fn frontend(&self) -> &Frontend;
+
+    /// Answers a request cheap enough to run on the loop thread, or
+    /// returns `None` to route it through the bounded pool. Answering
+    /// `Draining` starts the frontend's drain.
+    fn run_inline(&self, request: &Request) -> Option<Response>;
+
+    /// Answers a pool-bound request on a worker thread. `deadline` was
+    /// fixed at admission, so queueing time counts against it.
+    fn run_pooled(&self, request: &Request, deadline: Option<Deadline>) -> Response;
+
+    /// Called once per request refused with `Overloaded` (full pool or
+    /// connection quota), for handlers that count refusals.
+    fn record_overloaded(&self) {}
+}
+
+/// The shared runtime behind one daemon's connections: resolved network
+/// settings, the bounded worker pool, the drain token, and the
+/// connection counters.
+#[derive(Debug)]
+pub struct Frontend {
+    config: NetConfig,
+    pool: WorkerPool,
+    shutdown: CancelToken,
+    net: NetRuntime,
+}
+
+impl Frontend {
+    /// Builds the worker pool and resolves the network settings from
+    /// the frontend fields of `config` (`workers`, `queue_capacity`,
+    /// `event_threads`, `max_conns`, `idle_timeout`, `max_inflight`);
+    /// zeros pick the defaults.
+    ///
+    /// # Errors
+    /// Returns the OS error when a worker thread cannot be spawned.
+    pub fn new(config: &ServeConfig) -> std::io::Result<Frontend> {
+        let workers = if config.workers == 0 {
+            rayon::current_num_threads()
+        } else {
+            config.workers
+        };
+        let queue_capacity = if config.queue_capacity == 0 {
+            workers * 4
+        } else {
+            config.queue_capacity
+        };
+        Ok(Frontend {
+            config: NetConfig::resolve(config),
+            pool: WorkerPool::new(workers, queue_capacity)?,
+            shutdown: CancelToken::new(),
+            net: NetRuntime::default(),
+        })
+    }
+
+    /// Starts a graceful drain: cancels the shutdown token and wakes
+    /// every poller so the acceptor parks and the loops flush what they
+    /// accepted, then close every connection. Idempotent.
+    pub fn begin_drain(&self) {
+        self.shutdown.cancel();
+        self.net.wake_all();
+    }
+
+    /// Whether a drain has begun.
+    #[must_use]
+    pub(crate) fn is_draining(&self) -> bool {
+        self.shutdown.is_cancelled()
+    }
+
+    /// The frontend's share of a `Stats` reply: pool width, capacity and
+    /// panics, connection counts, and one row per event loop. Every
+    /// other field is zero for the handler to fill in.
+    #[must_use]
+    pub fn stats_reply(&self) -> StatsReply {
+        StatsReply {
+            panics: self.pool.panics(),
+            workers: self.pool.workers() as u32,
+            queue_capacity: self.pool.capacity() as u32,
+            conns_accepted: self.net.conns_accepted.load(Ordering::Relaxed),
+            conns_open: self.net.conns_open.load(Ordering::Relaxed),
+            event_threads: self.config.event_threads as u32,
+            loop_stats: self.net.loop_stats(),
+            ..StatsReply::default()
+        }
+    }
+}
+
+/// Always-on connection-level counters plus the drain fan-out: one
+/// waker per poller (acceptor + each event loop), woken together so a
+/// drain interrupts every blocked wait immediately.
+#[derive(Debug, Default)]
+struct NetRuntime {
+    conns_accepted: AtomicU64,
+    conns_open: AtomicU64,
+    wakers: Mutex<Vec<Arc<Waker>>>,
+    /// One row per event-loop thread, installed at loop startup; read
+    /// by `Stats` so a hot loop is visible, not averaged away.
+    loop_counters: Mutex<Vec<Arc<LoopCounters>>>,
+}
+
+/// A single event loop's always-on activity counters (the source of
+/// [`LoopStat`] rows in the stats reply).
+#[derive(Debug, Default)]
+struct LoopCounters {
+    readiness_events: AtomicU64,
+    loop_wakeups: AtomicU64,
+}
+
+impl NetRuntime {
+    fn add_waker(&self, waker: Arc<Waker>) {
+        self.wakers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(waker);
+    }
+
+    /// Registers an event loop's counter row, in loop-index order.
+    fn add_loop_counters(&self, counters: Arc<LoopCounters>) {
+        self.loop_counters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(counters);
+    }
+
+    fn loop_stats(&self) -> Vec<LoopStat> {
+        self.loop_counters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(|c| LoopStat {
+                readiness_events: c.readiness_events.load(Ordering::Relaxed),
+                loop_wakeups: c.loop_wakeups.load(Ordering::Relaxed),
+            })
+            .collect()
+    }
+
+    fn wake_all(&self) {
+        for waker in self
+            .wakers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
+            waker.wake();
+        }
+    }
+}
+
+/// Records a refusal with the handler and builds the `Overloaded` reply.
+fn overloaded<H: Handler>(handler: &H) -> Response {
+    handler.record_overloaded();
+    Response::error(ErrorKind::Overloaded, "request queue is full")
 }
 
 /// A finished pool job's response, routed back to the owning loop.
@@ -140,18 +304,16 @@ impl LoopShared {
     }
 }
 
-/// Spawns the event-loop threads and the acceptor/orchestrator thread;
-/// returns the orchestrator handle (joining it means the daemon's
-/// network side has fully shut down and the pool is drained).
+/// Serves `listener` with the handler `state` on its frontend: spawns
+/// the event-loop threads and the acceptor/orchestrator thread and
+/// returns the orchestrator handle. Joining it means the drain has
+/// finished: listener closed, every connection closed, pool drained.
 ///
 /// # Errors
 /// Returns the OS error when a poller, waker, or thread cannot be
 /// created.
-pub(crate) fn start(
-    listener: TcpListener,
-    state: Arc<ServerState>,
-    config: NetConfig,
-) -> std::io::Result<JoinHandle<()>> {
+pub fn start<H: Handler>(listener: TcpListener, state: Arc<H>) -> std::io::Result<JoinHandle<()>> {
+    let config = state.frontend().config;
     let mut loops: Vec<Arc<LoopShared>> = Vec::with_capacity(config.event_threads);
     let mut loop_handles = Vec::with_capacity(config.event_threads);
     for i in 0..config.event_threads {
@@ -164,8 +326,8 @@ pub(crate) fn start(
             waker: Arc::clone(&waker),
             counters: Arc::clone(&loop_counters),
         });
-        state.net.add_waker(waker);
-        state.net.add_loop_counters(loop_counters);
+        state.frontend().net.add_waker(waker);
+        state.frontend().net.add_loop_counters(loop_counters);
         loops.push(Arc::clone(&shared));
         let loop_state = Arc::clone(&state);
         let handle = std::thread::Builder::new()
@@ -177,7 +339,7 @@ pub(crate) fn start(
     let accept_poller = Poller::new()?;
     accept_poller.register(listener.as_raw_fd(), Token(LISTENER_TOKEN), Interest::READ)?;
     let accept_waker = Arc::new(accept_poller.waker(Token(WAKER_TOKEN))?);
-    state.net.add_waker(accept_waker);
+    state.frontend().net.add_waker(accept_waker);
 
     std::thread::Builder::new()
         .name("lotus-serve-accept".to_string())
@@ -194,24 +356,25 @@ pub(crate) fn start(
                 let _ = handle.join();
             }
             // Loops are gone: no submitter is left, drain the pool.
-            state.pool().shutdown();
+            state.frontend().pool.shutdown();
         })
 }
 
 /// Accepts until drain: quota check, nonblocking setup, round-robin
 /// handoff to the loops.
-fn accept_loop(
+fn accept_loop<H: Handler>(
     poller: &Poller,
     listener: &TcpListener,
     loops: &[Arc<LoopShared>],
-    state: &Arc<ServerState>,
+    state: &Arc<H>,
     config: NetConfig,
 ) {
+    let net = &state.frontend().net;
     let mut events = Events::with_capacity(8);
     let mut next_loop = 0usize;
-    while !state.shutdown_token().is_cancelled() {
+    while !state.frontend().is_draining() {
         let _ = poller.wait(&mut events, Some(MAX_WAIT));
-        if state.shutdown_token().is_cancelled() {
+        if state.frontend().is_draining() {
             break;
         }
         loop {
@@ -219,13 +382,13 @@ fn accept_loop(
             // nonblocking, so there is no accept-then-configure window.
             match lotus_net::accept_nonblocking(listener) {
                 Ok(Some(stream)) => {
-                    if state.net.conns_open.load(Ordering::Relaxed) >= config.max_conns as u64 {
-                        refuse_over_quota(stream, state);
+                    if net.conns_open.load(Ordering::Relaxed) >= config.max_conns as u64 {
+                        refuse_over_quota(stream, state.as_ref());
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    state.net.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                    state.net.conns_open.fetch_add(1, Ordering::Relaxed);
+                    net.conns_accepted.fetch_add(1, Ordering::Relaxed);
+                    net.conns_open.fetch_add(1, Ordering::Relaxed);
                     counters::incr(Counter::ConnsAccepted);
                     let shared = &loops[next_loop % loops.len()];
                     next_loop = next_loop.wrapping_add(1);
@@ -249,8 +412,8 @@ fn accept_loop(
 /// Over the connection quota: a best-effort `Overloaded` frame, then
 /// close. Ties the quota into the same accounting admission control
 /// uses, so operators see one signal for both.
-fn refuse_over_quota(stream: TcpStream, state: &Arc<ServerState>) {
-    let response = overloaded_response(state);
+fn refuse_over_quota<H: Handler>(stream: TcpStream, handler: &H) {
+    let response = overloaded(handler);
     if stream.set_nonblocking(true).is_ok() {
         if let Ok(frame) = frame_response(&response) {
             let _ = (&stream).write(&frame);
@@ -347,10 +510,10 @@ fn encode_frame(response: &Response) -> Vec<u8> {
 
 /// The loop proper: owns its poller, wheel, and connection table.
 #[allow(clippy::too_many_lines)]
-fn event_loop(
+fn event_loop<H: Handler>(
     poller: &Poller,
     shared: &Arc<LoopShared>,
-    state: &Arc<ServerState>,
+    state: &Arc<H>,
     config: NetConfig,
 ) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
@@ -367,10 +530,7 @@ fn event_loop(
         let _ = poller.wait(&mut events, Some(timeout));
         counters::incr(Counter::LoopWakeups);
         counters::add(Counter::ReadinessEvents, events.len() as u64);
-        shared
-            .counters
-            .loop_wakeups
-            .fetch_add(1, Ordering::Relaxed);
+        shared.counters.loop_wakeups.fetch_add(1, Ordering::Relaxed);
         shared
             .counters
             .readiness_events
@@ -415,7 +575,11 @@ fn event_loop(
                 .register(conn.stream.as_raw_fd(), Token(token), conn.interest)
                 .is_err()
             {
-                state.net.conns_open.fetch_sub(1, Ordering::Relaxed);
+                state
+                    .frontend()
+                    .net
+                    .conns_open
+                    .fetch_sub(1, Ordering::Relaxed);
                 continue;
             }
             wheel.arm(now, config.idle_timeout, token, conn.gen);
@@ -469,7 +633,7 @@ fn event_loop(
         }
 
         // 5. Drain transition: stop reading everywhere, flush, close.
-        if state.shutdown_token().is_cancelled() {
+        if state.frontend().is_draining() {
             if draining_since.is_none() {
                 draining_since = Some(now);
                 for conn in conns.values_mut() {
@@ -489,7 +653,11 @@ fn event_loop(
                 let _ = poller.deregister(conn.stream.as_raw_fd());
                 let _ = conn.stream.shutdown(std::net::Shutdown::Both);
                 let _ = token;
-                state.net.conns_open.fetch_sub(1, Ordering::Relaxed);
+                state
+                    .frontend()
+                    .net
+                    .conns_open
+                    .fetch_sub(1, Ordering::Relaxed);
                 false
             } else {
                 true
@@ -533,11 +701,11 @@ fn refresh(poller: &Poller, token: u64, conn: &mut Conn) {
 
 /// Drains the socket into `read_buf` until `WouldBlock`, EOF, or a
 /// quota pause, parsing frames as they complete.
-fn pump_reads(
+fn pump_reads<H: Handler>(
     conn: &mut Conn,
     token: u64,
     shared: &Arc<LoopShared>,
-    state: &Arc<ServerState>,
+    state: &Arc<H>,
     config: &NetConfig,
     wheel: &mut TimerWheel,
     now: Instant,
@@ -569,11 +737,11 @@ fn pump_reads(
 
 /// Parses every complete frame out of `read_buf` (respecting the
 /// inflight quota) and dispatches each request.
-fn process_frames(
+fn process_frames<H: Handler>(
     conn: &mut Conn,
     token: u64,
     shared: &Arc<LoopShared>,
-    state: &Arc<ServerState>,
+    state: &Arc<H>,
     config: &NetConfig,
 ) {
     while !conn.read_closed && !conn.dead && conn.inflight < config.max_inflight {
@@ -614,20 +782,21 @@ fn process_frames(
     }
 }
 
-/// Routes one decoded request: fast admin inline on the loop thread,
-/// everything else through the bounded pool.
-fn dispatch(
+/// Routes one decoded request: what the handler answers inline stays on
+/// the loop thread, everything else goes through the bounded pool.
+fn dispatch<H: Handler>(
     conn: &mut Conn,
     token: u64,
     seq: u64,
     request: Request,
     shared: &Arc<LoopShared>,
-    state: &Arc<ServerState>,
+    state: &Arc<H>,
 ) {
-    if let Some(response) = run_inline(&request, state) {
+    if let Some(response) = state.run_inline(&request) {
         let draining = matches!(response, Response::Draining);
         queue_frame(conn, seq, encode_frame(&response));
         if draining {
+            state.frontend().begin_drain();
             // The drain reply is this connection's last frame; frames
             // already parsed behind it still get ShuttingDown below.
             conn.read_closed = true;
@@ -635,7 +804,7 @@ fn dispatch(
         }
         return;
     }
-    if state.shutdown_token().is_cancelled() {
+    if state.frontend().is_draining() {
         queue_frame(
             conn,
             seq,
@@ -650,8 +819,8 @@ fn dispatch(
     let deadline = request_deadline(&request);
     let job_state = Arc::clone(state);
     let job_shared = Arc::clone(shared);
-    let submitted = state.pool().try_submit(Box::new(move || {
-        let response = run_pooled(&request, deadline, &job_state);
+    let submitted = state.frontend().pool.try_submit(Box::new(move || {
+        let response = job_state.run_pooled(&request, deadline);
         job_shared.push_completion(Completion {
             token,
             seq,
@@ -661,7 +830,7 @@ fn dispatch(
     if submitted {
         conn.inflight += 1;
     } else {
-        queue_frame(conn, seq, encode_frame(&overloaded_response(state)));
+        queue_frame(conn, seq, encode_frame(&overloaded(state.as_ref())));
     }
 }
 

@@ -10,8 +10,11 @@
 //!   serve many times, LRU-evicted against a
 //!   `lotus_resilience::MemoryBudget`.
 //! - [`pool`] — the bounded worker pool behind admission control.
-//! - [`server`] — the daemon itself: accept loop, connection threads,
-//!   request dispatch, per-request deadlines, panic isolation.
+//! - [`event_loop`] — the connection frontend: acceptor, readiness
+//!   loops, quotas, pipelining and drain, answering through a
+//!   [`Handler`]; the cluster coordinator runs on it too.
+//! - [`server`] — the daemon itself: the registry-backed handler,
+//!   per-request deadlines, panic isolation, durability.
 //! - [`client`] — a minimal blocking client.
 //! - [`loadgen`] — the load-generator harness measuring request
 //!   latency percentiles for the BENCH `serve` section.
@@ -23,7 +26,7 @@
 //! deadlines, and isolated worker panics. See DESIGN.md §11.
 
 pub mod client;
-pub(crate) mod event_loop;
+pub mod event_loop;
 pub mod journal;
 pub mod loadgen;
 pub(crate) mod mux;
@@ -37,6 +40,7 @@ pub mod store;
 pub mod timer;
 
 pub use client::Client;
+pub use event_loop::{Frontend, Handler};
 pub use journal::{Journal, JournalRecord};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use proto::{ErrorKind, LoopStat, ProtoError, Request, Response, StatsReply};

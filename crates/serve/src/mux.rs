@@ -1,22 +1,18 @@
-//! The multiplexed load-generator driver: thousands of client
-//! connections on one thread, over the same `lotus_net` readiness shim
-//! the daemon uses.
+//! The load-generator driver: thousands of client connections on one
+//! thread, over the same `lotus_net` readiness shim the daemon uses.
 //!
-//! The legacy driver spawned one OS thread per connection, which capped
-//! `loadgen` at a few hundred connections — useless for proving the
-//! event-loop daemon scales. Here every connection is a small state
-//! machine (seeded request mix → pipelined in-flight window → in-order
-//! response matching → backoff-scheduled retries) multiplexed over one
-//! [`Poller`], so a single loadgen process drives ≥1024 connections
-//! with request pipelining.
+//! Every connection is a small state machine (seeded request mix →
+//! pipelined in-flight window → in-order response matching →
+//! backoff-scheduled retries) multiplexed over one [`Poller`], so a
+//! single loadgen process drives ≥1024 connections with request
+//! pipelining.
 //!
-//! Fidelity to the legacy driver is deliberate: the per-connection
-//! request stream is bit-for-bit identical (same `(seed, index)` RNG
-//! derivation, same `pick_request` call order — the mix is picked
-//! lazily per connection, so interleaving cannot perturb it), and
-//! retry accounting follows the same rules: every attempt's latency is
-//! recorded, retried attempts are counted in `retries` but not `sent`,
-//! and each logical request is classified exactly once.
+//! Each connection's request stream is deterministic (an RNG derived
+//! from `(seed, index)`; the mix is picked lazily per connection, so
+//! interleaving cannot perturb it), and retry accounting is honest:
+//! every attempt's latency is recorded, retried attempts are counted in
+//! `retries` but not `sent`, and each logical request is classified
+//! exactly once.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -274,7 +270,7 @@ pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport
 
 /// Blocking connect honouring the retry schedule, mirroring
 /// `Client::connect_with_retry` (each retried connect counts into the
-/// report like the legacy driver's `connect_retries`).
+/// report's `retries`).
 fn connect_with_retry(
     addr: &str,
     retry: &RetryPolicy,
@@ -403,9 +399,8 @@ fn pump_responses(
     }
 }
 
-/// Transport or protocol damage mid-run: mirror the legacy accounting
-/// (one error, one sent) and stop driving this connection; the others
-/// keep measuring.
+/// Transport or protocol damage mid-run: count one error (and one
+/// sent) and stop driving this connection; the others keep measuring.
 fn fail_connection(conn: &mut MuxConn, report: &mut LoadgenReport) {
     report.errors += 1;
     report.sent += 1;

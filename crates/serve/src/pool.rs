@@ -8,10 +8,12 @@
 //! `lotus_resilience::isolate`, so a panicking job can never take a
 //! worker thread (or the daemon) down with it.
 //!
-//! `shims/par`'s `ThreadPool` executes sequentially by design, so the
-//! pool spawns real `std::thread` workers; its default width still comes
-//! from `rayon::current_num_threads()` so the serving layer sizes itself
-//! the same way the counting kernels do.
+//! It is separate from `shims/par`'s work-stealing pool, which runs the
+//! counting kernels' fork-join work and never refuses a task: serving
+//! needs a bounded queue that refuses, and jobs that may block on fsync
+//! or the network without stalling a kernel worker. Its default width
+//! still comes from `rayon::current_num_threads()` so the serving layer
+//! sizes itself the same way the counting kernels do.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -34,6 +34,7 @@
 //! around `std::sync` — no atomics, no thread-locals, no edges.
 
 use crate::json::Json;
+#[cfg(any(debug_assertions, feature = "lock-witness"))]
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};

@@ -287,7 +287,7 @@ impl Poller {
 pub fn accept_nonblocking(listener: &std::net::TcpListener) -> io::Result<Option<std::net::TcpStream>> {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     {
-        if !std::env::var_os("LOTUS_NET_BACKEND").is_some_and(|v| v == "fallback") {
+        if std::env::var_os("LOTUS_NET_BACKEND").is_none_or(|v| v != "fallback") {
             return sys::accept_nonblocking(listener);
         }
     }
