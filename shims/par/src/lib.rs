@@ -9,9 +9,11 @@
 //! Execution model: a parallel pipeline is a materialized source
 //! (`Vec` of items) plus a composable per-chunk transform
 //! ([`ChunkXform`]). Terminals split the source into contiguous chunks
-//! and run transform + consumer over them on the work-stealing pool
-//! (the private `pool` module), merging per-chunk partial results in
-//! chunk order — so
+//! — up to 64 per executor, so skewed loops can be balanced by
+//! stealing, but no smaller than 64 items unless 4 per executor are
+//! already smaller — and run transform + consumer over them on the
+//! work-stealing pool (the private `pool` module), merging per-chunk
+//! partial results in chunk order — so
 //! results (sums, collected vectors, triangle counts) are deterministic
 //! and identical to a sequential run for the associative, commutative
 //! reductions this workspace uses.
@@ -21,8 +23,9 @@
 //! executed in a seeded permutation, with fork/join/combine and
 //! byte-range access events recorded for the happens-before detector
 //! ([`hb`]). The pool honors a process-wide thread limit
-//! ([`configure_threads`], `ThreadPool::install`); with one thread (the
-//! default on single-core hosts) terminals run inline on the caller.
+//! ([`configure_threads`], `ThreadPool::install`; unset, the host's
+//! core count, read once per process); with one thread (the default
+//! on single-core hosts) terminals run inline on the caller.
 
 use std::cmp::Ordering;
 use std::marker::PhantomData;
@@ -36,6 +39,18 @@ pub use pool::configure_threads;
 /// Terminals with fewer items than this run inline: chunking overhead
 /// dominates below it.
 const MIN_PAR_ITEMS: usize = 32;
+
+/// Chunks per executor a terminal aims for, so idle executors have
+/// something to steal when a loop's work piles up in a few chunks.
+const CHUNKS_PER_THREAD: usize = 64;
+
+/// Chunks per executor of the coarse split, whose chunk size bounds the
+/// fine split's from below (see [`chunk_size`]).
+const COARSE_CHUNKS_PER_THREAD: usize = 4;
+
+/// Smallest chunk the fine split may cut: below it, per-chunk overhead
+/// outweighs the balance gained.
+const MIN_CHUNK_ITEMS: usize = 64;
 
 /// Slices shorter than this sort sequentially.
 const MIN_PAR_SORT: usize = 4096;
@@ -453,7 +468,7 @@ where
 
     // Chunked execution on the pool; merge partials in chunk order.
     let n = items.len();
-    let chunk_size = n.div_ceil((threads * 4).min(n));
+    let chunk_size = chunk_size(n, threads);
     let mut chunks: Vec<Vec<T>> = Vec::with_capacity(n.div_ceil(chunk_size));
     let mut it = items.into_iter();
     loop {
@@ -472,6 +487,16 @@ where
         .into_iter()
         .reduce(|a, b| consumer.merge(a, b))
         .unwrap_or_else(|| consumer.consume(std::iter::empty()))
+}
+
+/// Items per chunk for `n` items on `threads` executors: the fine split,
+/// but never below [`MIN_CHUNK_ITEMS`] items unless the coarse split's
+/// chunks are already smaller. Chunks are thus never coarser than the
+/// coarse split, and small inputs keep exactly its chunking.
+fn chunk_size(n: usize, threads: usize) -> usize {
+    let fine = n.div_ceil(threads * CHUNKS_PER_THREAD);
+    let coarse = n.div_ceil(threads * COARSE_CHUNKS_PER_THREAD);
+    fine.max(MIN_CHUNK_ITEMS.min(coarse))
 }
 
 /// The rayon `ParallelIterator` adapter/terminal surface.
@@ -1067,6 +1092,7 @@ mod tests {
 
     #[test]
     fn par_sort_large_is_correct_on_the_pool() {
+        let _g = pool::limit_lock();
         let pool = ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
@@ -1084,6 +1110,7 @@ mod tests {
 
     #[test]
     fn parallel_terminals_match_sequential_on_the_pool() {
+        let _g = pool::limit_lock();
         let pool = ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
@@ -1115,6 +1142,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_for_inside_a_task() {
+        let _g = pool::limit_lock();
         let pool = ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
@@ -1192,6 +1220,7 @@ mod tests {
 
     #[test]
     fn pool_installs_a_thread_limit() {
+        let _g = pool::limit_lock();
         let pool = ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
@@ -1208,7 +1237,21 @@ mod tests {
     }
 
     #[test]
+    fn chunks_are_finer_for_large_loops_and_floored_for_small_ones() {
+        let _g = pool::limit_lock();
+        pool::install_limit(2, || {
+            // `fold` yields one accumulator per executed chunk.
+            for (n, chunks) in [(262_144u32, 128), (512, 8), (31, 1)] {
+                let accs: Vec<u32> = (0..n).into_par_iter().fold(|| 0u32, |a, _| a + 1).collect();
+                assert_eq!(accs.len(), chunks, "{n} items");
+                assert_eq!(accs.iter().sum::<u32>(), n, "{n} items");
+            }
+        });
+    }
+
+    #[test]
     fn worker_panic_reaches_the_caller_and_pool_survives() {
+        let _g = pool::limit_lock();
         let pool = ThreadPoolBuilder::new()
             .num_threads(4)
             .build()

@@ -10,12 +10,18 @@
 //! timeout backstop, so a missed wakeup costs latency, never progress.
 //!
 //! A parallel region is driven by the thread that called into the shim
-//! (see [`run`]): it keeps the first range for itself, deals the rest to
-//! the workers, executes its share, then *sweeps* the deques for any of
-//! its own unclaimed entries before blocking on the region's completion
-//! latch. The sweep is what makes nested regions deadlock-free: a driver
-//! never waits on a chunk that no running thread has claimed — it takes
-//! the chunk back and runs it itself.
+//! (see [`run`]): it deals one contiguous range to each worker and puts
+//! the first range, its own share, at the front of its *home* deque —
+//! its own deque if it is a pool worker, else one deque shared by every
+//! thread outside the pool. It then takes its chunks one at a time from
+//! the front of that entry, so an idle worker can steal the far half of
+//! the driver's share just like any worker's; this is what balances a
+//! region whose work piles up in its first chunks. Once its entry is
+//! gone, the driver *sweeps* the deques for any of its own unclaimed
+//! entries before blocking on the region's completion latch. The sweep
+//! is what makes nested regions deadlock-free: a driver never waits on a
+//! chunk that no running thread has claimed — it takes the chunk back
+//! and runs it itself.
 //!
 //! A panic inside a chunk is caught per-chunk, poisons the region
 //! (remaining chunk bodies are skipped), and is re-thrown on the driver
@@ -23,6 +29,7 @@
 //! `catch_unwind` isolation still surfaces it as a `PhasePanic`, and the
 //! workers themselves survive for the next region.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -42,8 +49,18 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(50);
 /// How long a driver waits on the completion latch between sweeps.
 const DRIVER_WAIT: Duration = Duration::from_millis(1);
 
-/// Requested thread count; 0 means "use available parallelism".
+/// Index of the home deque shared by drivers outside the pool; each
+/// such driver takes only its own region's entries from it.
+const SHARED: usize = MAX_WORKERS;
+
+/// Requested thread count; 0 means "use the host's core count".
 static LIMIT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's home deque: its worker index inside the pool,
+    /// [`SHARED`] anywhere else.
+    static HOME: Cell<usize> = const { Cell::new(SHARED) };
+}
 
 /// Locks a mutex, recovering the guard if a panicking thread poisoned
 /// it (the pool's shared state stays consistent under per-chunk
@@ -52,20 +69,29 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The host's available parallelism, read once: the query reads cgroup
+/// files on Linux, and this is consulted on every terminal and every
+/// worker-loop turn.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
 /// The number of logical executors parallel work may use right now:
-/// the configured limit, or the host's available parallelism when no
-/// limit is set. Always at least 1 (the calling thread).
+/// the configured limit, or the host's core count when no limit is set.
+/// Always at least 1 (the calling thread).
 pub(crate) fn effective_threads() -> usize {
     match LIMIT.load(Ordering::Acquire) {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        0 => host_cores(),
         n => n,
     }
 }
 
-/// Sets the process-wide thread limit. `0` restores the default
-/// (available parallelism). Counts above the host's core count are
-/// honored (oversubscription), which keeps multi-threaded code paths
-/// testable on single-core machines.
+/// Sets the process-wide thread limit. `0` restores the default: the
+/// host's available parallelism, read once per process. Counts above
+/// the host's core count are honored (oversubscription), which keeps
+/// multi-threaded code paths testable on single-core machines.
 pub fn configure_threads(n: usize) {
     LIMIT.store(n.min(MAX_WORKERS + 1), Ordering::Release);
     if n > 1 {
@@ -113,6 +139,7 @@ unsafe impl Send for Entry {}
 
 /// The process-global pool: per-worker deques plus the park/wake state.
 struct Pool {
+    /// One deque per worker, then the [`SHARED`] home of outside drivers.
     deques: Vec<Mutex<VecDeque<Entry>>>,
     /// Count of currently parked workers, guarded with the wake condvar.
     sleep: Mutex<usize>,
@@ -127,7 +154,7 @@ struct Pool {
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool {
-        deques: (0..MAX_WORKERS)
+        deques: (0..=MAX_WORKERS)
             .map(|_| Mutex::new(VecDeque::new()))
             .collect(),
         sleep: Mutex::new(0),
@@ -166,6 +193,7 @@ fn wake_all() {
 }
 
 fn worker_loop(me: usize) {
+    HOME.with(|h| h.set(me));
     let p = pool();
     loop {
         // Workers beyond the active limit park until reconfigured.
@@ -210,8 +238,9 @@ fn pop_own(p: &Pool, me: usize) -> Option<Entry> {
     e
 }
 
-/// Steals the far half of another worker's front entry (or the whole
-/// entry if it holds a single chunk).
+/// Steals the far half of another deque's front entry (or the whole
+/// entry if it holds a single chunk); the shared driver deque is a
+/// victim like any worker's.
 fn steal(p: &Pool, me: usize) -> Option<Entry> {
     let n = p.deques.len();
     for k in 1..n {
@@ -301,10 +330,11 @@ unsafe fn exec_chunk<T, R, F: Fn(u32, T) -> R>(state: *const (), idx: u32) {
 }
 
 /// Runs `f` over every payload on the pool and returns the results in
-/// payload order. The calling thread drives: it executes its own share,
-/// reclaims stranded entries, and only then blocks on the completion
-/// latch. If any chunk panicked, the (first) payload is re-thrown here
-/// on the calling thread once all chunks have finished or been skipped.
+/// payload order. The calling thread drives: it executes whatever of
+/// its own share is not stolen, reclaims stranded entries, and only
+/// then blocks on the completion latch. If any chunk panicked, the
+/// (first) payload is re-thrown here on the calling thread once all
+/// chunks have finished or been skipped.
 pub(crate) fn run<T, R, F>(payloads: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -338,32 +368,36 @@ where
 
     let p = pool();
     let workers = (execs - 1).min(*lock(&p.spawned));
+    let home = HOME.with(Cell::get);
     // Deal `total` chunks into `workers + 1` contiguous ranges; the
-    // driver keeps the first.
+    // first, the driver's own, goes to the front of its home deque.
     let shares = workers + 1;
     let per = total / shares;
     let extra = total % shares;
     let mut begin = 0u32;
-    let mut own = 0u32..0u32;
     for share in 0..shares {
         let len = per + usize::from(share < extra);
         let range = begin..begin + len as u32;
         begin = range.end;
-        if share == 0 {
-            own = range;
-        } else if !range.is_empty() {
-            lock(&p.deques[share - 1]).push_back(Entry {
-                state: state_ptr,
-                exec,
-                lo: range.start,
-                hi: range.end,
-            });
-            p.pending.fetch_add(1, Ordering::AcqRel);
+        if range.is_empty() {
+            continue;
         }
+        let entry = Entry {
+            state: state_ptr,
+            exec,
+            lo: range.start,
+            hi: range.end,
+        };
+        if share == 0 {
+            lock(&p.deques[home]).push_front(entry);
+        } else {
+            lock(&p.deques[share - 1]).push_back(entry);
+        }
+        p.pending.fetch_add(1, Ordering::AcqRel);
     }
     wake_all();
 
-    for idx in own {
+    while let Some(idx) = take_own(p, home, state_ptr) {
         counters::add(Counter::PoolTasks, 1);
         // SAFETY: `state` is live for the whole of this function.
         unsafe { exec(state_ptr, idx) };
@@ -390,6 +424,22 @@ where
     results.sort_unstable_by_key(|(i, _)| *i);
     debug_assert_eq!(results.len(), total);
     results.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Takes the first chunk of this region's first entry in deque `home`,
+/// leaving the rest of the entry in place for thieves; `None` once no
+/// such entry is left there.
+fn take_own(p: &Pool, home: usize, state_ptr: *const ()) -> Option<u32> {
+    let mut dq = lock(&p.deques[home]);
+    let pos = dq.iter().position(|e| std::ptr::eq(e.state, state_ptr))?;
+    let e = &mut dq[pos];
+    let idx = e.lo;
+    e.lo += 1;
+    if e.lo == e.hi {
+        dq.remove(pos);
+        p.pending.fetch_sub(1, Ordering::AcqRel);
+    }
+    Some(idx)
 }
 
 /// Reclaims this region's unclaimed entries from every deque and runs
@@ -428,15 +478,16 @@ fn sweep(p: &Pool, state_ptr: *const (), exec: unsafe fn(*const (), u32)) {
     }
 }
 
+/// Serializes the crate's tests that reconfigure the global limit.
+#[cfg(test)]
+pub(crate) fn limit_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    lock(&LOCK)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that reconfigure the global limit.
-    fn limit_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     #[test]
     fn run_returns_results_in_payload_order() {
@@ -483,6 +534,37 @@ mod tests {
             });
             let want: Vec<u64> = (0..8u64).map(|x| (0..16u64).map(|y| x + y).sum()).collect();
             assert_eq!(outer, want);
+        });
+    }
+
+    #[test]
+    fn idle_executor_steals_from_a_blocked_drivers_share() {
+        let _g = limit_lock();
+        install_limit(2, || {
+            let others = Mutex::new(0u32);
+            let ran = Condvar::new();
+            // 8 chunks at limit 2: the driver's share is chunks 0..4. A
+            // worker may steal chunk 0 before the driver takes it; then
+            // the driver must run the rest instead.
+            let out = run((0..8u32).collect(), |idx, _| {
+                if idx > 0 {
+                    *lock(&others) += 1;
+                    ran.notify_all();
+                    return None;
+                }
+                // Chunk 0 blocks until the other executor has run all
+                // seven others, or gives up so a pool that cannot steal
+                // the driver's share fails instead of hanging.
+                let (done, _) = ran
+                    .wait_timeout_while(lock(&others), Duration::from_secs(10), |n| *n < 7)
+                    .unwrap_or_else(PoisonError::into_inner);
+                Some(*done)
+            });
+            assert_eq!(
+                out[0],
+                Some(7),
+                "chunks 1-7 must finish while chunk 0 is blocked"
+            );
         });
     }
 
