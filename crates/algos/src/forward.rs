@@ -6,13 +6,12 @@
 //! `|N⁻(v) ∩ N⁻(u)|` is accumulated. Each triangle `(a < b < c)` is found
 //! exactly once, at `v = c`, `u = b`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
 use lotus_graph::{Csr, UndirectedCsr};
-use lotus_resilience::{fault_point, RunGuard, StopReason};
+use lotus_resilience::{fault_point, LoopGuard, RunGuard, StopReason};
 
 use crate::intersect::IntersectKind;
 use crate::preprocess::degree_order_and_orient;
@@ -85,25 +84,15 @@ impl ForwardCounter {
 }
 
 /// Counts triangles of an already-oriented forward graph (each list holds
-/// only lower-ID neighbours, sorted ascending).
+/// only lower-ID neighbours, sorted ascending): [`count_oriented_guarded`]
+/// under an unlimited guard.
 pub fn count_oriented(forward: &Csr<u32>, kernel: IntersectKind) -> u64 {
-    (0..forward.num_vertices())
-        .into_par_iter()
-        .map(|v| {
-            let nv = forward.neighbors(v);
-            rayon::sched::log_read(nv, "forward.n_minus");
-            let mut local = 0u64;
-            for &u in nv {
-                local += kernel.count(nv, forward.neighbors(u));
-            }
-            local
-        })
-        .sum()
+    count_oriented_guarded(forward, kernel, &RunGuard::unlimited())
+        .unwrap_or_else(|(reason, _)| unreachable!("unlimited guard stopped Forward: {reason}"))
 }
 
-/// Guarded variant of [`count_oriented`]: polls the guard every 256
-/// vertices. On a stop, returns the partial sum accumulated so far with
-/// the reason.
+/// [`count_oriented`] under a guard: polls it every 256 vertices. On a
+/// stop, returns the partial sum accumulated so far with the reason.
 ///
 /// # Errors
 /// Returns the guard's stop reason together with the partial sum
@@ -113,15 +102,11 @@ pub fn count_oriented_guarded(
     kernel: IntersectKind,
     guard: &RunGuard,
 ) -> Result<u64, (StopReason, u64)> {
-    let stopped = AtomicBool::new(false);
+    let stop = LoopGuard::new(guard);
     let partial = (0..forward.num_vertices())
         .into_par_iter()
         .map(|v| {
-            if stopped.load(Ordering::Relaxed) {
-                return 0;
-            }
-            if v & 0xff == 0 && guard.should_stop().is_some() {
-                stopped.store(true, Ordering::Relaxed);
+            if stop.skip(v as usize, 0xff) {
                 return 0;
             }
             let nv = forward.neighbors(v);
@@ -133,10 +118,7 @@ pub fn count_oriented_guarded(
             local
         })
         .sum();
-    match guard.should_stop() {
-        Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
-        _ => Ok(partial),
-    }
+    stop.finish(partial)
 }
 
 /// End-to-end guarded Forward count with degree ordering: orients the

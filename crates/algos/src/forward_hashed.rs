@@ -6,13 +6,12 @@
 //! every neighbour at the cost of hashing instructions — the trade-off the
 //! paper cites when arguing merge join is better for short lists (§4.4.3).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
 use lotus_graph::{Csr, UndirectedCsr};
-use lotus_resilience::{RunGuard, StopReason};
+use lotus_resilience::{LoopGuard, RunGuard, StopReason};
 
 use crate::intersect::hash::HashSide;
 use crate::preprocess::degree_order_and_orient;
@@ -35,29 +34,12 @@ impl ForwardHashedResult {
     }
 }
 
-/// Counts triangles of an oriented forward graph with per-vertex hash sets.
-///
-/// The hash set is part of the rayon fold accumulator, so each worker
-/// reuses one allocation across its whole vertex range.
+/// Counts triangles of an oriented forward graph with per-vertex hash
+/// sets: [`count_oriented_hashed_guarded`] under an unlimited guard.
 pub fn count_oriented_hashed(forward: &Csr<u32>) -> u64 {
-    (0..forward.num_vertices())
-        .into_par_iter()
-        .fold(
-            || (HashSide::<u32>::new(), 0u64),
-            |(mut side, mut total), v| {
-                let nv = forward.neighbors(v);
-                rayon::sched::log_read(nv, "forward_hashed.n_minus");
-                if nv.len() >= 2 {
-                    side.fill(nv);
-                    for &u in nv {
-                        total += side.count(forward.neighbors(u));
-                    }
-                }
-                (side, total)
-            },
-        )
-        .map(|(_, total)| total)
-        .sum()
+    count_oriented_hashed_guarded(forward, &RunGuard::unlimited()).unwrap_or_else(|(reason, _)| {
+        unreachable!("unlimited guard stopped forward-hashed: {reason}")
+    })
 }
 
 /// Runs forward-hashed TC end-to-end with degree ordering.
@@ -75,8 +57,9 @@ pub fn forward_hashed_count_timed(graph: &UndirectedCsr) -> ForwardHashedResult 
     }
 }
 
-/// Guarded variant of [`count_oriented_hashed`]: polls the guard every
-/// 256 vertices; each worker keeps its reusable hash set. On a stop,
+/// [`count_oriented_hashed`] under a guard: polls it every 256 vertices.
+/// The hash set is part of the rayon fold accumulator, so each worker
+/// reuses one allocation across its whole vertex range. On a stop,
 /// returns the partial sum with the reason.
 ///
 /// # Errors
@@ -86,17 +69,13 @@ pub fn count_oriented_hashed_guarded(
     forward: &Csr<u32>,
     guard: &RunGuard,
 ) -> Result<u64, (StopReason, u64)> {
-    let stopped = AtomicBool::new(false);
+    let stop = LoopGuard::new(guard);
     let partial = (0..forward.num_vertices())
         .into_par_iter()
         .fold(
             || (HashSide::<u32>::new(), 0u64),
             |(mut side, mut total), v| {
-                if stopped.load(Ordering::Relaxed) {
-                    return (side, total);
-                }
-                if v & 0xff == 0 && guard.should_stop().is_some() {
-                    stopped.store(true, Ordering::Relaxed);
+                if stop.skip(v as usize, 0xff) {
                     return (side, total);
                 }
                 let nv = forward.neighbors(v);
@@ -112,10 +91,7 @@ pub fn count_oriented_hashed_guarded(
         )
         .map(|(_, total)| total)
         .sum();
-    match guard.should_stop() {
-        Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
-        _ => Ok(partial),
-    }
+    stop.finish(partial)
 }
 
 /// End-to-end guarded forward-hashed count: orientation (guard checked

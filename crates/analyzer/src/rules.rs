@@ -34,7 +34,7 @@ pub const RULES: [(&str, &str); 10] = [
     ),
     (
         "guard-poll",
-        "lotus-core fns taking `&RunGuard` must poll `should_stop()` or forward the guard",
+        "lotus-core and lotus-algos fns taking `&RunGuard` must poll `should_stop()` or forward the guard",
     ),
     (
         "result-errors-doc",
@@ -377,11 +377,12 @@ fn rule_relaxed_telemetry(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// `guard-poll`: in lotus-core, a fn that accepts `&RunGuard` exists to
-/// be interruptible — its body must poll `should_stop()` or pass the
-/// guard on to a callee that does.
+/// `guard-poll`: in lotus-core and lotus-algos (the crates with guarded
+/// counting loops), a fn that accepts `&RunGuard` exists to be
+/// interruptible — its body must poll `should_stop()` or pass the guard
+/// on to a callee that does.
 fn rule_guard_poll(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
-    if !ctx.path.starts_with("crates/core/src") {
+    if !(ctx.path.starts_with("crates/core/src") || ctx.path.starts_with("crates/algos/src")) {
         return;
     }
     let toks = ctx.toks;
@@ -873,8 +874,10 @@ mod tests {
     #[test]
     fn guard_poll_flags_ignored_guard() {
         let src = "fn run(g: &RunGuard) -> u32 { 42 }";
-        let f = findings("crates/core/src/x.rs", src);
-        assert_eq!(rules_of(&f), ["guard-poll"]);
+        for path in ["crates/core/src/x.rs", "crates/algos/src/x.rs"] {
+            let f = findings(path, src);
+            assert_eq!(rules_of(&f), ["guard-poll"], "{path}");
+        }
     }
 
     #[test]

@@ -164,9 +164,10 @@ pub fn count(args: CountArgs) -> Result<String, CliError> {
     let config = lotus_config(args.hubs, &graph);
     let start = Instant::now();
     let (triangles, detail) = match args.algorithm.as_str() {
-        "lotus" if limited => {
-            // The budgeted runner subsumes the plain guarded one: with no
-            // explicit budget the unlimited budget never degrades.
+        "lotus" => {
+            // The budgeted runner subsumes the plain and guarded ones:
+            // the unlimited budget never degrades and the unlimited
+            // guard never stops.
             let budget = args
                 .mem_budget
                 .unwrap_or_else(|| MemoryBudget::from_bytes(u64::MAX));
@@ -176,10 +177,6 @@ pub fn count(args: CountArgs) -> Result<String, CliError> {
                 let _ = writeln!(out, "degraded: {reason}");
             }
             (r.total(), format!("phases: {}", r.result.breakdown))
-        }
-        "lotus" => {
-            let r = isolated(|| LotusCounter::new(config).count(&graph))?;
-            (r.total(), format!("phases: {}", r.breakdown))
         }
         "forward" if limited => {
             let total = match isolated(|| forward_count_guarded(&graph, &guard))? {
@@ -236,7 +233,7 @@ pub fn count(args: CountArgs) -> Result<String, CliError> {
     let _ = writeln!(out, "triangles: {triangles}");
     let _ = writeln!(
         out,
-        "time: {:.3}s ({})",
+        "time: {:.6}s ({})",
         elapsed.as_secs_f64(),
         args.algorithm
     );

@@ -15,6 +15,11 @@
 //! *not* fused (§4.5): each phase's random accesses then target a single
 //! small structure. The fused variant is available as an ablation via
 //! [`LotusConfig::with_fused_phases`].
+//!
+//! Each phase has one loop body, which polls a [`RunGuard`]. The plain
+//! entry points ([`LotusCounter::count`], [`LotusCounter::count_prepared`]
+//! and the `count_*_phase` functions) run those loops under
+//! [`RunGuard::unlimited`], whose polls return at once.
 
 // `CountError` deliberately carries the partial per-type counts and the
 // per-phase breakdown (~137 bytes); guarded runs are once-per-invocation,
@@ -22,20 +27,19 @@
 #![allow(clippy::result_large_err)]
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use rayon::prelude::*;
 
 use lotus_algos::intersect::count_merge;
 use lotus_graph::UndirectedCsr;
-use lotus_resilience::{fault_point, isolate, RunGuard, StopReason};
+use lotus_resilience::{fault_point, isolate, LoopGuard, PanicCaught, RunGuard, StopReason};
 use lotus_telemetry::{counters, Counter, Span, SpanId};
 
 use crate::breakdown::Breakdown;
 use crate::config::LotusConfig;
 use crate::h2h::TriBitArray;
-use crate::preprocess::{build_lotus_graph, build_lotus_graph_guarded};
+use crate::preprocess::build_lotus_graph_guarded;
 use crate::stats::LotusStats;
 use crate::structure::LotusGraph;
 use crate::tiling::{make_tiles, Tile};
@@ -184,73 +188,16 @@ impl LotusCounter {
     }
 
     /// End-to-end run: preprocessing (Algorithm 2) plus counting
-    /// (Algorithm 3).
+    /// (Algorithm 3). This is [`Self::count_guarded`] under an unlimited
+    /// guard; a worker panic unwinds out of this call with its message.
     pub fn count(&self, graph: &UndirectedCsr) -> LotusResult {
-        let pre_start = Instant::now();
-        let lg = {
-            let _span = Span::enter(SpanId::Preprocess);
-            build_lotus_graph(graph, &self.config)
-        };
-        let preprocess = pre_start.elapsed();
-        let mut result = self.count_prepared(&lg);
-        result.breakdown.preprocess = preprocess;
-        result
+        unwrap_unlimited_run(self.count_guarded(graph, &RunGuard::unlimited()))
     }
 
-    /// Counts triangles of an already-built LOTUS graph.
+    /// Counts triangles of an already-built LOTUS graph: this is
+    /// [`Self::count_prepared_guarded`] under an unlimited guard.
     pub fn count_prepared(&self, lg: &LotusGraph) -> LotusResult {
-        let mut breakdown = Breakdown::default();
-
-        // Phase 1: HHH and HHN.
-        let start = Instant::now();
-        let span = Span::enter(SpanId::HhhHhn);
-        let tiles = make_tiles(
-            &lg.he,
-            self.config.tiling_threshold,
-            self.config.partitions_per_vertex,
-        );
-        let (hhh, hhn) = count_hub_pairs(lg, &tiles);
-        drop(span);
-        breakdown.hhh_hhn = start.elapsed();
-
-        let (hnn, nnn) = if self.config.fuse_hnn_nnn {
-            // Ablation path: the fused pass has no per-phase span; its
-            // merge work still lands in the kernel counters.
-            let start = Instant::now();
-            let counts = count_hnn_nnn_fused(lg);
-            // Attribute the fused time to both phases evenly.
-            let half = start.elapsed() / 2;
-            breakdown.hnn = half;
-            breakdown.nnn = half;
-            counts
-        } else {
-            // Phase 2: HNN.
-            let start = Instant::now();
-            let span = Span::enter(SpanId::Hnn);
-            let hnn = count_hnn(lg);
-            drop(span);
-            breakdown.hnn = start.elapsed();
-
-            // Phase 3: NNN.
-            let start = Instant::now();
-            let span = Span::enter(SpanId::Nnn);
-            let nnn = count_nnn(lg);
-            drop(span);
-            breakdown.nnn = start.elapsed();
-            (hnn, nnn)
-        };
-
-        LotusResult {
-            stats: LotusStats {
-                hhh,
-                hhn,
-                hnn,
-                nnn,
-                he_edges: lg.he_edges(),
-                nhe_edges: lg.nhe_edges(),
-            },
-            breakdown,
-        }
+        unwrap_unlimited_run(self.count_prepared_guarded(lg, &RunGuard::unlimited()))
     }
 
     /// End-to-end run under a [`RunGuard`], with each stage isolated by
@@ -259,10 +206,9 @@ impl LotusCounter {
     /// per-type counts and the per-phase breakdown collected so far.
     ///
     /// The guard is polled at tile granularity in phase 1 and every few
-    /// hundred vertices in phases 2 and 3. The guarded runner always
-    /// executes the paper's split HNN/NNN phases (the fused ablation of
-    /// [`LotusConfig::with_fused_phases`] is a perf experiment, not a
-    /// production path).
+    /// hundred vertices in phases 2 and 3. Under
+    /// [`LotusConfig::with_fused_phases`] the single fused HNN + NNN pass
+    /// polls like phase 2 and reports a stop or panic as [`Phase::Hnn`].
     ///
     /// # Errors
     /// Returns a [`CountError`] when the guard stops the run or a worker
@@ -272,9 +218,7 @@ impl LotusCounter {
         graph: &UndirectedCsr,
         guard: &RunGuard,
     ) -> Result<LotusResult, CountError> {
-        let breakdown = Breakdown::default();
-        let stats = LotusStats::default();
-
+        let mut breakdown = Breakdown::default();
         let start = Instant::now();
         let lg = match isolate(|| {
             let _span = Span::enter(SpanId::Preprocess);
@@ -285,7 +229,7 @@ impl LotusCounter {
                 return Err(CountError::PhasePanic {
                     phase: Phase::Preprocess,
                     message: panic.message,
-                    partial: stats,
+                    partial: LotusStats::default(),
                     breakdown,
                 });
             }
@@ -294,13 +238,12 @@ impl LotusCounter {
                 return Err(CountError::Interrupted {
                     phase: Phase::Preprocess,
                     reason,
-                    partial: stats,
+                    partial: LotusStats::default(),
                     breakdown,
                 });
             }
             Ok(Ok(lg)) => lg,
         };
-        let mut breakdown = breakdown;
         breakdown.preprocess = start.elapsed();
         self.count_prepared_guarded_with(&lg, guard, breakdown)
     }
@@ -343,18 +286,40 @@ impl LotusCounter {
             count_hub_pairs_guarded(lg, &tiles, guard)
         });
         breakdown.hhh_hhn = start.elapsed();
-        let (hhh, hhn) = unwrap_phase(
+        record_phase(
             outcome,
             Phase::HhhHhn,
             &mut stats,
             &breakdown,
-            |s, (a, b)| {
-                s.hhh = a;
-                s.hhn = b;
+            |s, (hhh, hhn)| {
+                s.hhh = hhh;
+                s.hhn = hhn;
             },
         )?;
-        stats.hhh = hhh;
-        stats.hhn = hhn;
+
+        if self.config.fuse_hnn_nnn {
+            // Ablation path: the fused pass has no per-phase span, and its
+            // time is attributed to both phases evenly.
+            let start = Instant::now();
+            let outcome = isolate(|| {
+                fault_point!(panic: "core.phase.hnn");
+                count_hnn_nnn_fused(lg, guard)
+            });
+            let half = start.elapsed() / 2;
+            breakdown.hnn = half;
+            breakdown.nnn = half;
+            record_phase(
+                outcome,
+                Phase::Hnn,
+                &mut stats,
+                &breakdown,
+                |s, (hnn, nnn)| {
+                    s.hnn = hnn;
+                    s.nnn = nnn;
+                },
+            )?;
+            return Ok(LotusResult { stats, breakdown });
+        }
 
         // Phase 2: HNN.
         let start = Instant::now();
@@ -364,10 +329,9 @@ impl LotusCounter {
             count_hnn_guarded(lg, guard)
         });
         breakdown.hnn = start.elapsed();
-        let hnn = unwrap_phase(outcome, Phase::Hnn, &mut stats, &breakdown, |s, c| {
+        record_phase(outcome, Phase::Hnn, &mut stats, &breakdown, |s, c| {
             s.hnn = c;
         })?;
-        stats.hnn = hnn;
 
         // Phase 3: NNN.
         let start = Instant::now();
@@ -377,27 +341,29 @@ impl LotusCounter {
             count_nnn_guarded(lg, guard)
         });
         breakdown.nnn = start.elapsed();
-        let nnn = unwrap_phase(outcome, Phase::Nnn, &mut stats, &breakdown, |s, c| {
+        record_phase(outcome, Phase::Nnn, &mut stats, &breakdown, |s, c| {
             s.nnn = c;
         })?;
-        stats.nnn = nnn;
 
         Ok(LotusResult { stats, breakdown })
     }
 }
 
 /// Folds one phase's tri-state outcome (ok / interrupted-with-partial /
-/// panicked) into either the completed counts or a [`CountError`] that
-/// records the partial counts via `record`.
-fn unwrap_phase<C: Copy>(
-    outcome: Result<Result<C, (StopReason, C)>, lotus_resilience::PanicCaught>,
+/// panicked) into `stats` via `record`; unless the phase completed,
+/// returns a [`CountError`] carrying the counts so far.
+fn record_phase<C>(
+    outcome: Result<Result<C, (StopReason, C)>, PanicCaught>,
     phase: Phase,
     stats: &mut LotusStats,
     breakdown: &Breakdown,
     record: impl FnOnce(&mut LotusStats, C),
-) -> Result<C, CountError> {
+) -> Result<(), CountError> {
     match outcome {
-        Ok(Ok(counts)) => Ok(counts),
+        Ok(Ok(counts)) => {
+            record(stats, counts);
+            Ok(())
+        }
         Ok(Err((reason, partial_counts))) => {
             counters::incr(Counter::GuardStops);
             record(stats, partial_counts);
@@ -420,19 +386,21 @@ fn unwrap_phase<C: Copy>(
     }
 }
 
-/// Phase 1 over a prepared tile list: returns `(hhh, hhn)`.
-fn count_hub_pairs(lg: &LotusGraph, tiles: &[Tile]) -> (u64, u64) {
-    tiles
-        .par_iter()
-        .map(|t| {
-            let found = count_tile(&lg.h2h, lg.hub_neighbors(t.v), t);
-            if lg.is_hub(t.v) {
-                (found, 0)
-            } else {
-                (0, found)
-            }
-        })
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+/// Unwraps a run under an unlimited guard, which never stops it: a
+/// worker panic that a phase caught is raised again with its message.
+fn unwrap_unlimited_run(outcome: Result<LotusResult, CountError>) -> LotusResult {
+    match outcome {
+        Ok(result) => result,
+        Err(CountError::PhasePanic { message, .. }) => std::panic::resume_unwind(Box::new(message)),
+        Err(err @ CountError::Interrupted { .. }) => {
+            unreachable!("unlimited guard stopped the run: {err}")
+        }
+    }
+}
+
+/// Unwraps one loop run under an unlimited guard, which never stops it.
+fn unwrap_unlimited_loop<T>(outcome: Result<T, (StopReason, T)>) -> T {
+    outcome.unwrap_or_else(|(reason, _)| unreachable!("unlimited guard stopped a phase: {reason}"))
 }
 
 /// Counts the connected hub pairs of one tile.
@@ -468,60 +436,20 @@ fn count_tile(h2h: &TriBitArray, he: &[u16], tile: &Tile) -> u64 {
     found
 }
 
-/// Phase 2: HNN triangles.
-fn count_hnn(lg: &LotusGraph) -> u64 {
-    (0..lg.num_vertices())
-        .into_par_iter()
-        .map(|v| {
-            let he_v = lg.hub_neighbors(v);
-            if he_v.is_empty() {
-                return 0;
-            }
-            rayon::sched::log_read(he_v, "phase2.he");
-            let mut local = 0u64;
-            for &u in lg.nonhub_neighbors(v) {
-                local += count_merge(he_v, lg.hub_neighbors(u));
-            }
-            local
-        })
-        .sum()
-}
-
-/// Phase 3: NNN triangles.
-fn count_nnn(lg: &LotusGraph) -> u64 {
-    (0..lg.num_vertices())
-        .into_par_iter()
-        .map(|v| {
-            let nhe_v = lg.nonhub_neighbors(v);
-            rayon::sched::log_read(nhe_v, "phase3.nhe");
-            let mut local = 0u64;
-            for &u in nhe_v {
-                local += count_merge(nhe_v, lg.nonhub_neighbors(u));
-            }
-            local
-        })
-        .sum()
-}
-
-/// Guarded phase 1: like [`count_hub_pairs`] but polls the guard every
-/// 16 tiles. On a stop, workers that have not started yet contribute
-/// zero and the partial sums reduced so far are returned with the
-/// reason.
+/// Phase 1 over a prepared tile list: returns `(hhh, hhn)`. Polls the
+/// guard every 16 tiles; on a stop, tiles not yet started contribute
+/// zero and the partial sums are returned with the reason.
 fn count_hub_pairs_guarded(
     lg: &LotusGraph,
     tiles: &[Tile],
     guard: &RunGuard,
 ) -> Result<(u64, u64), (StopReason, (u64, u64))> {
-    let stopped = AtomicBool::new(false);
+    let stop = LoopGuard::new(guard);
     let partial = tiles
         .par_iter()
         .enumerate()
         .map(|(i, t)| {
-            if stopped.load(Ordering::Relaxed) {
-                return (0, 0);
-            }
-            if i & 0xf == 0 && guard.should_stop().is_some() {
-                stopped.store(true, Ordering::Relaxed);
+            if stop.skip(i, 0xf) {
                 return (0, 0);
             }
             let found = count_tile(&lg.h2h, lg.hub_neighbors(t.v), t);
@@ -532,24 +460,16 @@ fn count_hub_pairs_guarded(
             }
         })
         .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-    match guard.should_stop() {
-        Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
-        _ => Ok(partial),
-    }
+    stop.finish(partial)
 }
 
-/// Guarded phase 2: like [`count_hnn`] but polls the guard every 256
-/// vertices.
+/// Phase 2: HNN triangles. Polls the guard every 256 vertices.
 fn count_hnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReason, u64)> {
-    let stopped = AtomicBool::new(false);
+    let stop = LoopGuard::new(guard);
     let partial = (0..lg.num_vertices())
         .into_par_iter()
         .map(|v| {
-            if stopped.load(Ordering::Relaxed) {
-                return 0;
-            }
-            if v & 0xff == 0 && guard.should_stop().is_some() {
-                stopped.store(true, Ordering::Relaxed);
+            if stop.skip(v as usize, 0xff) {
                 return 0;
             }
             let he_v = lg.hub_neighbors(v);
@@ -564,24 +484,16 @@ fn count_hnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
             local
         })
         .sum();
-    match guard.should_stop() {
-        Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
-        _ => Ok(partial),
-    }
+    stop.finish(partial)
 }
 
-/// Guarded phase 3: like [`count_nnn`] but polls the guard every 256
-/// vertices.
+/// Phase 3: NNN triangles. Polls the guard every 256 vertices.
 fn count_nnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReason, u64)> {
-    let stopped = AtomicBool::new(false);
+    let stop = LoopGuard::new(guard);
     let partial = (0..lg.num_vertices())
         .into_par_iter()
         .map(|v| {
-            if stopped.load(Ordering::Relaxed) {
-                return 0;
-            }
-            if v & 0xff == 0 && guard.should_stop().is_some() {
-                stopped.store(true, Ordering::Relaxed);
+            if stop.skip(v as usize, 0xff) {
                 return 0;
             }
             let nhe_v = lg.nonhub_neighbors(v);
@@ -593,18 +505,23 @@ fn count_nnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
             local
         })
         .sum();
-    match guard.should_stop() {
-        Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
-        _ => Ok(partial),
-    }
+    stop.finish(partial)
 }
 
 /// Fused HNN + NNN ablation: one pass over the non-hub edges performing
-/// both intersections. Returns `(hnn, nnn)`.
-fn count_hnn_nnn_fused(lg: &LotusGraph) -> (u64, u64) {
-    (0..lg.num_vertices())
+/// both intersections. Returns `(hnn, nnn)`; polls the guard every 256
+/// vertices.
+fn count_hnn_nnn_fused(
+    lg: &LotusGraph,
+    guard: &RunGuard,
+) -> Result<(u64, u64), (StopReason, (u64, u64))> {
+    let stop = LoopGuard::new(guard);
+    let partial = (0..lg.num_vertices())
         .into_par_iter()
         .map(|v| {
+            if stop.skip(v as usize, 0xff) {
+                return (0, 0);
+            }
             let he_v = lg.hub_neighbors(v);
             let nhe_v = lg.nonhub_neighbors(v);
             let mut hnn = 0u64;
@@ -615,7 +532,8 @@ fn count_hnn_nnn_fused(lg: &LotusGraph) -> (u64, u64) {
             }
             (hnn, nnn)
         })
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+    stop.finish(partial)
 }
 
 /// Convenience: end-to-end LOTUS count with default configuration.
@@ -626,17 +544,17 @@ pub fn lotus_count(graph: &UndirectedCsr) -> u64 {
 /// Public phase-1 entry over an explicit tile list: returns `(hhh, hhn)`.
 /// Used by the recursive extension and the load-balance experiments.
 pub fn count_hub_phase(lg: &LotusGraph, tiles: &[Tile]) -> (u64, u64) {
-    count_hub_pairs(lg, tiles)
+    unwrap_unlimited_loop(count_hub_pairs_guarded(lg, tiles, &RunGuard::unlimited()))
 }
 
 /// Public phase-2 (HNN) entry. Used by the recursive extension.
 pub fn count_hnn_phase(lg: &LotusGraph) -> u64 {
-    count_hnn(lg)
+    unwrap_unlimited_loop(count_hnn_guarded(lg, &RunGuard::unlimited()))
 }
 
 /// Public phase-3 (NNN) entry.
 pub fn count_nnn_phase(lg: &LotusGraph) -> u64 {
-    count_nnn(lg)
+    unwrap_unlimited_loop(count_nnn_guarded(lg, &RunGuard::unlimited()))
 }
 
 /// Counts the hub pairs of a single tile against the H2H array. Exposed
@@ -649,6 +567,7 @@ pub fn count_single_tile(h2h: &TriBitArray, he: &[u16], tile: &Tile) -> u64 {
 mod tests {
     use super::*;
     use crate::config::HubCount;
+    use crate::preprocess::build_lotus_graph;
     use lotus_algos::forward::forward_count;
     use lotus_graph::builder::graph_from_edges;
 
@@ -738,10 +657,46 @@ mod tests {
     fn fused_ablation_matches_split_phases() {
         let g = lotus_gen::Rmat::new(9, 8).generate(13);
         let split = LotusCounter::new(cfg(64)).count(&g);
-        let fused = LotusCounter::new(cfg(64).with_fused_phases(true)).count(&g);
-        assert_eq!(split.stats.hnn, fused.stats.hnn);
-        assert_eq!(split.stats.nnn, fused.stats.nnn);
-        assert_eq!(split.total(), fused.total());
+        let fused_counter = LotusCounter::new(cfg(64).with_fused_phases(true));
+        let lg = build_lotus_graph(&g, fused_counter.config());
+        let fused_guarded = fused_counter
+            .count_prepared_guarded(&lg, &RunGuard::unlimited())
+            .expect("unlimited guard never stops");
+        for fused in [fused_counter.count(&g), fused_guarded] {
+            assert_eq!(split.stats.hnn, fused.stats.hnn);
+            assert_eq!(split.stats.nnn, fused.stats.nnn);
+            assert_eq!(split.total(), fused.total());
+            // The one fused pass is timed once and split evenly.
+            assert_eq!(fused.breakdown.hnn, fused.breakdown.nnn);
+        }
+    }
+
+    #[test]
+    fn fused_ablation_honours_the_guard() {
+        use lotus_resilience::CancelToken;
+        let g = lotus_gen::Rmat::new(9, 8).generate(13);
+        // Without hubs phase 1 has no tiles, so the first poll is the
+        // fused pass's.
+        let counter = LotusCounter::new(cfg(0).with_fused_phases(true));
+        let lg = build_lotus_graph(&g, counter.config());
+        let token = CancelToken::new();
+        token.cancel();
+        let err = counter
+            .count_prepared_guarded(&lg, &RunGuard::unlimited().with_cancel(token))
+            .expect_err("cancelled before the fused pass started");
+        match err {
+            CountError::Interrupted {
+                phase,
+                reason,
+                breakdown,
+                ..
+            } => {
+                assert_eq!(phase, Phase::Hnn);
+                assert_eq!(reason, StopReason::Cancelled);
+                assert_eq!(breakdown.hnn, breakdown.nnn, "the fused pass ran");
+            }
+            other => panic!("expected Interrupted, got {other:?}"),
+        }
     }
 
     #[test]

@@ -12,12 +12,10 @@
 //! The pass over vertices is parallel (two passes: degree count + fill,
 //! with prefix-sum offsets in between), mirroring the paper's `par_for`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use rayon::prelude::*;
 
 use lotus_graph::{Csr, Relabeling, UndirectedCsr};
-use lotus_resilience::{fault_point, RunGuard, StopReason};
+use lotus_resilience::{fault_point, LoopGuard, RunGuard, StopReason};
 
 use crate::config::LotusConfig;
 use crate::h2h::TriBitArrayBuilder;
@@ -48,17 +46,7 @@ pub fn build_lotus_graph_guarded(
     let n = graph.num_vertices();
     let hub_count = config.resolved_hub_count(n);
     let head_count = config.resolved_head_count(n);
-    let stopped = AtomicBool::new(false);
-    let poll = |v_new: u32| -> bool {
-        if stopped.load(Ordering::Relaxed) {
-            return true;
-        }
-        if v_new & 0x3ff == 0 && guard.should_stop().is_some() {
-            stopped.store(true, Ordering::Relaxed);
-            return true;
-        }
-        false
-    };
+    let stop = LoopGuard::new(guard);
 
     // Line 1 of Algorithm 2: the relabeling array.
     let relabeling = Relabeling::hub_first(&graph.degrees(), head_count as usize);
@@ -71,10 +59,10 @@ pub fn build_lotus_graph_guarded(
         .zip(nhe_deg.par_iter_mut())
         .enumerate()
         .for_each(|(v_new, (he_d, nhe_d))| {
-            let v_new = v_new as u32;
-            if poll(v_new) {
+            if stop.skip(v_new, 0x3ff) {
                 return;
             }
+            let v_new = v_new as u32;
             rayon::sched::log_write(std::slice::from_ref(he_d), "preprocess.he_deg");
             rayon::sched::log_write(std::slice::from_ref(nhe_d), "preprocess.nhe_deg");
             let v_old = relabeling.old_id(v_new);
@@ -92,9 +80,7 @@ pub fn build_lotus_graph_guarded(
                 }
             }
         });
-    if let Some(reason) = stop_reason(guard, &stopped) {
-        return Err(reason);
-    }
+    stop.finish(()).map_err(|(reason, ())| reason)?;
 
     let prefix = |deg: &[u32]| -> Vec<u64> {
         let mut offsets = Vec::with_capacity(deg.len() + 1);
@@ -123,10 +109,10 @@ pub fn build_lotus_graph_guarded(
             .zip(nhe_slices.into_par_iter())
             .enumerate()
             .for_each(|(v_new, (he_out, nhe_out))| {
-                let v_new = v_new as u32;
-                if poll(v_new) {
+                if stop.skip(v_new, 0x3ff) {
                     return;
                 }
+                let v_new = v_new as u32;
                 rayon::sched::log_write(he_out, "preprocess.he_entries");
                 rayon::sched::log_write(nhe_out, "preprocess.nhe_entries");
                 let v_old = relabeling.old_id(v_new);
@@ -156,9 +142,7 @@ pub fn build_lotus_graph_guarded(
                 nhe_out.sort_unstable();
             });
     }
-    if let Some(reason) = stop_reason(guard, &stopped) {
-        return Err(reason);
-    }
+    stop.finish(()).map_err(|(reason, ())| reason)?;
 
     let he = Csr::from_parts(he_offsets, he_entries);
     let nhe = Csr::from_parts(nhe_offsets, nhe_entries);
@@ -180,15 +164,6 @@ pub fn build_lotus_graph_guarded(
         lg.validate()
     );
     Ok(lg)
-}
-
-/// Resolves the stop flag set inside a parallel pass back to its reason.
-fn stop_reason(guard: &RunGuard, stopped: &AtomicBool) -> Option<StopReason> {
-    if stopped.load(Ordering::Relaxed) {
-        guard.should_stop()
-    } else {
-        None
-    }
 }
 
 /// Splits a flat array into per-vertex windows according to offsets.

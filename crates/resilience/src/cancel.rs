@@ -143,6 +143,61 @@ impl RunGuard {
     }
 }
 
+/// The stop state of one guarded parallel loop: its [`RunGuard`] plus a
+/// flag that the first worker to see a stop condition sets, so the other
+/// workers skip their remaining items without polling the guard again.
+///
+/// Under an unlimited guard [`LoopGuard::skip`] returns `false` before
+/// touching the flag, so a plain run pays one predictable branch per item.
+#[derive(Debug)]
+pub struct LoopGuard<'a> {
+    guard: &'a RunGuard,
+    limited: bool,
+    stopped: AtomicBool,
+}
+
+impl<'a> LoopGuard<'a> {
+    /// Starts a loop under `guard`.
+    pub fn new(guard: &'a RunGuard) -> Self {
+        Self {
+            guard,
+            limited: guard.is_limited(),
+            stopped: AtomicBool::new(false),
+        }
+    }
+
+    /// Whether item `i` must be skipped: the loop has already stopped, or
+    /// `i` falls on the polling stride (`i & stride_mask == 0`) and the
+    /// guard reports a stop condition now.
+    #[inline]
+    pub fn skip(&self, i: usize, stride_mask: usize) -> bool {
+        if !self.limited {
+            return false;
+        }
+        if self.stopped.load(Ordering::Relaxed) {
+            return true;
+        }
+        if i & stride_mask == 0 && self.guard.should_stop().is_some() {
+            self.stopped.store(true, Ordering::Relaxed);
+            return true;
+        }
+        false
+    }
+
+    /// Ends the loop, handing back `partial`, the result of the items
+    /// that were not skipped.
+    ///
+    /// # Errors
+    /// Returns the stop reason together with `partial` when the loop
+    /// skipped items because the guard stopped it.
+    pub fn finish<T>(&self, partial: T) -> Result<T, (StopReason, T)> {
+        match self.guard.should_stop() {
+            Some(reason) if self.stopped.load(Ordering::Relaxed) => Err((reason, partial)),
+            _ => Ok(partial),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +240,25 @@ mod tests {
         assert_eq!(g.should_stop(), Some(StopReason::DeadlineExpired));
         token.cancel();
         assert_eq!(g.should_stop(), Some(StopReason::Cancelled));
+    }
+
+    #[test]
+    fn loop_guard_polls_on_the_stride_and_then_skips_everything() {
+        let unlimited = RunGuard::unlimited();
+        let lg = LoopGuard::new(&unlimited);
+        assert!(!lg.skip(0, 0xf));
+        assert_eq!(lg.finish(7), Ok(7));
+
+        let token = CancelToken::new();
+        let guard = RunGuard::unlimited().with_cancel(token.clone());
+        let lg = LoopGuard::new(&guard);
+        token.cancel();
+        // Off the stride the guard is not polled yet.
+        assert!(!lg.skip(1, 0xf));
+        assert!(lg.skip(16, 0xf));
+        // Once stopped, every item is skipped.
+        assert!(lg.skip(17, 0xf));
+        assert_eq!(lg.finish(3), Err((StopReason::Cancelled, 3)));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::sync::Mutex;
 use lotus_algos::forward::{forward_count, forward_count_guarded};
 use lotus_core::config::{HubCount, LotusConfig};
 use lotus_core::count::{CountError, LotusCounter, Phase};
+use lotus_core::preprocess::build_lotus_graph;
 use lotus_graph::io::{read_binary, read_edge_list_text, write_binary};
 use lotus_graph::{EdgeList, GraphError, UndirectedCsr};
 use lotus_resilience::fault::{
@@ -83,6 +84,16 @@ fn exercise(point: &'static str) {
                     assert!(message.contains(point), "{message}");
                 }
                 other => panic!("{point}: expected PhasePanic, got {other:?}"),
+            }
+            // The plain entry points run the same phases and re-raise
+            // the caught panic with its message.
+            let g = test_graph();
+            let lg = build_lotus_graph(&g, counter().config());
+            for caught in [
+                isolate(|| counter().count(&g)).expect_err(point),
+                isolate(|| counter().count_prepared(&lg)).expect_err(point),
+            ] {
+                assert!(caught.message.contains(point), "{}", caught.message);
             }
         }
         "algos.forward.count" => {
