@@ -2,30 +2,28 @@
 //! connection per shard daemon, pipelined requests, deadline-bounded
 //! collection (DESIGN.md §16).
 //!
-//! A [`Fleet`] holds at most one connection per shard endpoint and
-//! reuses it across broadcasts. [`Fleet::broadcast`] writes every
+//! A [`Fleet`] holds at most one [`Pipe`] per shard endpoint and
+//! reuses it across broadcasts. [`Fleet::broadcast`] queues every
 //! request up front (pipelining — the LSRV daemon answers frames in
-//! order per connection, so a FIFO of in-flight call indices is enough
-//! to match responses), then drives all connections through one
+//! order per connection, so the pipe's FIFO of call indices matches
+//! replies to calls), then drives the links through the fleet's one
 //! [`lotus_net::Poller`] until every call resolves or the deadline
 //! expires. A shard that is slow, dead, or desynced resolves its
 //! pending calls to [`FleetError`] — never a hang — and its connection
-//! is reset so the next broadcast starts clean.
+//! is dropped so the next broadcast re-dials. An idle link the shard
+//! has closed (its idle timeout) is re-dialed before it is used.
 //!
-//! Connects retry transient failures under the workspace's seeded
-//! backoff policy ([`lotus_resilience::retry`]), bounded by the
+//! Connects go through [`lotus_serve::pipe::dial`]: transient failures
+//! retry under the workspace's seeded backoff policy, bounded by the
 //! broadcast deadline.
 
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
 use std::time::Duration;
 
 use lotus_net::{Events, Interest, Poller, Token};
-use lotus_resilience::retry::{is_transient_io, retry, RetryPolicy};
+use lotus_resilience::retry::RetryPolicy;
 use lotus_resilience::Deadline;
-use lotus_serve::proto::{self, FrameProgress, Request, Response};
+use lotus_serve::pipe::{dial, Pipe};
+use lotus_serve::proto::{Request, Response};
 
 /// Why a shard call failed to produce a response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,26 +47,20 @@ impl std::fmt::Display for FleetError {
 /// One shard call of a broadcast: `(shard index, request)`.
 pub type ShardCall = (usize, Request);
 
-const READ_CHUNK: usize = 64 * 1024;
+/// Per-call outcomes of one broadcast; `None` until resolved.
+type Slots = [Option<Result<Response, FleetError>>];
+
 /// Poll granularity: short enough that deadline expiry is noticed
 /// promptly even when no readiness arrives, long enough to stay cheap.
 const WAIT_SLICE: Duration = Duration::from_millis(25);
 
 #[derive(Debug)]
-struct Conn {
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Broadcast-local call indices awaiting replies, FIFO (the daemon
-    /// flushes responses in request order per connection).
-    pending: VecDeque<usize>,
-}
-
-#[derive(Debug)]
 struct Link {
     addr: String,
-    conn: Option<Conn>,
+    /// The connection, tagged with broadcast-local call indices;
+    /// registered with the fleet's poller (token = shard index) for as
+    /// long as it exists.
+    pipe: Option<Pipe<usize>>,
 }
 
 /// The per-shard connection set. Not internally synchronized — the
@@ -77,6 +69,7 @@ struct Link {
 pub struct Fleet {
     links: Vec<Link>,
     retry: RetryPolicy,
+    poller: Poller,
 }
 
 impl Fleet {
@@ -84,23 +77,22 @@ impl Fleet {
     /// the given retry policy.
     #[must_use]
     pub fn new(endpoints: &[String], retry: RetryPolicy) -> Fleet {
-        Fleet {
-            links: endpoints
-                .iter()
-                .map(|addr| Link {
-                    addr: addr.clone(),
-                    conn: None,
-                })
-                .collect(),
+        let mut fleet = Fleet {
+            links: Vec::with_capacity(endpoints.len()),
             retry,
+            poller: Poller::new().unwrap_or_else(|_| Poller::fallback()),
+        };
+        for addr in endpoints {
+            fleet.push_endpoint(addr);
         }
+        fleet
     }
 
     /// Appends a newly joined shard endpoint.
     pub fn push_endpoint(&mut self, addr: &str) {
         self.links.push(Link {
             addr: addr.to_string(),
-            conn: None,
+            pipe: None,
         });
     }
 
@@ -129,305 +121,155 @@ impl Fleet {
         deadline: Deadline,
     ) -> Vec<Result<Response, FleetError>> {
         let mut results: Vec<Option<Result<Response, FleetError>>> = vec![None; calls.len()];
-
-        // Dial + enqueue. Encoding failures and unknown shards resolve
-        // immediately; everything else lands in a per-link out buffer.
         for (call_idx, (shard, request)) in calls.iter().enumerate() {
-            if *shard >= self.links.len() {
-                results[call_idx] = Some(Err(FleetError::Unavailable(format!(
-                    "shard {shard} is not in the fleet (size {})",
-                    self.links.len()
-                ))));
-                continue;
-            }
-            if self.links[*shard].conn.is_none() {
-                if let Err(detail) = self.dial(*shard, deadline) {
-                    results[call_idx] = Some(Err(FleetError::Unavailable(detail)));
-                    continue;
-                }
-            }
-            let Some(conn) = self.links[*shard].conn.as_mut() else {
-                results[call_idx] = Some(Err(FleetError::Unavailable(
-                    "connection lost before send".to_string(),
-                )));
-                continue;
-            };
-            let payload = match request.encode() {
-                Ok(payload) => payload,
-                Err(e) => {
-                    results[call_idx] =
-                        Some(Err(FleetError::Unavailable(format!("encode failed: {e}"))));
-                    continue;
-                }
-            };
-            let mut frame = Vec::new();
-            match proto::write_frame(&mut frame, &payload) {
-                Ok(()) => {
-                    conn.out.extend_from_slice(&frame);
-                    conn.pending.push_back(call_idx);
-                }
-                Err(e) => {
-                    results[call_idx] =
-                        Some(Err(FleetError::Unavailable(format!("encode failed: {e}"))));
-                }
+            if let Err(detail) = self.enqueue(*shard, request, call_idx, deadline) {
+                results[call_idx] = Some(Err(FleetError::Unavailable(detail)));
             }
         }
-
-        self.drive(deadline, &mut results);
-
-        // Anything still unresolved hit the deadline. The connection's
-        // FIFO no longer matches what the shard will send, so reset it.
-        for (call_idx, slot) in results.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(Err(FleetError::DeadlineExpired));
-                let shard = calls[call_idx].0;
-                if shard < self.links.len() {
-                    self.links[shard].conn = None;
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.unwrap_or(Err(FleetError::DeadlineExpired)))
-            .collect()
-    }
-
-    /// Event-drives every link with pending work until all calls
-    /// resolve or the deadline passes.
-    fn drive(
-        &mut self,
-        deadline: Deadline,
-        results: &mut [Option<Result<Response, FleetError>>],
-    ) {
-        let poller = match Poller::new() {
-            Ok(p) => p,
-            Err(_) => Poller::fallback(),
-        };
-        let mut registered: Vec<usize> = Vec::new();
-        let mut unregisterable: Vec<usize> = Vec::new();
         for shard in 0..self.links.len() {
-            let Some(conn) = self.links[shard].conn.as_ref() else {
-                continue;
-            };
-            if conn.pending.is_empty() {
-                continue;
-            }
-            let interest = if conn.out_pos < conn.out.len() {
-                Interest::BOTH
-            } else {
-                Interest::READ
-            };
-            if poller
-                .register(conn.stream.as_raw_fd(), Token(shard as u64), interest)
-                .is_ok()
-            {
-                registered.push(shard);
-            } else {
-                unregisterable.push(shard);
-            }
-        }
-        for shard in unregisterable {
-            self.fail_link(shard, "poller registration failed", results);
+            self.flush(shard, &mut results);
         }
 
         let mut events = Events::with_capacity(64);
         while results.iter().any(Option::is_none) && !deadline.expired() {
             let timeout = deadline.remaining().min(WAIT_SLICE);
-            if poller.wait(&mut events, Some(timeout)).is_err() {
+            if self.poller.wait(&mut events, Some(timeout)).is_err() {
                 break;
             }
-            // Collect tokens first: handling an event may drop a
-            // connection, and `events` borrows nothing from it.
-            let ready: Vec<(usize, bool, bool)> = events
-                .iter()
-                .map(|e| (e.token.0 as usize, e.readable, e.writable))
-                .collect();
-            for (shard, readable, writable) in ready {
-                if shard >= self.links.len() || self.links[shard].conn.is_none() {
-                    continue;
+            for event in &events {
+                let shard = event.token.0 as usize;
+                if event.writable {
+                    self.flush(shard, &mut results);
                 }
-                if writable {
-                    self.flush_out(shard, &poller, results);
-                }
-                if readable && self.links[shard].conn.is_some() {
-                    self.drain_in(shard, results);
+                if event.readable || event.closed {
+                    self.read(shard, &mut results);
                 }
             }
         }
-        for shard in registered {
-            if let Some(conn) = self.links[shard].conn.as_ref() {
-                let _ = poller.deregister(conn.stream.as_raw_fd());
-            }
-        }
+
+        // Anything still unresolved hit the deadline. The connection's
+        // FIFO no longer matches what the shard will send, so drop it.
+        calls
+            .iter()
+            .zip(results)
+            .map(|((shard, _), slot)| {
+                slot.unwrap_or_else(|| {
+                    self.disconnect(*shard);
+                    Err(FleetError::DeadlineExpired)
+                })
+            })
+            .collect()
     }
 
-    /// Connects to a shard, retrying transient failures under the
-    /// seeded policy while the deadline allows.
-    fn dial(&mut self, shard: usize, deadline: Deadline) -> Result<(), String> {
-        let addr_str = self.links[shard].addr.clone();
-        let sock_addr: SocketAddr = addr_str
-            .to_socket_addrs()
-            .map_err(|e| format!("bad shard address `{addr_str}`: {e}"))?
-            .next()
-            .ok_or_else(|| format!("shard address `{addr_str}` resolves to nothing"))?;
-        let policy = self.retry;
-        let (connected, _retries) = retry(
-            &policy,
-            |e: &std::io::Error| is_transient_io(e) && !deadline.expired(),
-            || {
-                let timeout = deadline.remaining().min(Duration::from_secs(1));
-                if timeout.is_zero() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "deadline expired before connect",
-                    ));
-                }
-                TcpStream::connect_timeout(&sock_addr, timeout)
-            },
-        );
-        let stream = connected.map_err(|e| format!("connect `{addr_str}`: {e}"))?;
-        let _ = stream.set_nodelay(true);
-        stream
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking `{addr_str}`: {e}"))?;
-        self.links[shard].conn = Some(Conn {
-            stream,
-            read_buf: Vec::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            pending: VecDeque::new(),
-        });
-        Ok(())
-    }
-
-    /// Writes as much queued output as the socket accepts; downgrades
-    /// poller interest to read-only once the buffer drains.
-    fn flush_out(
+    /// Queues one call on its shard's link, dialing first when the link
+    /// has no connection or its idle connection was closed by the shard.
+    fn enqueue(
         &mut self,
         shard: usize,
-        poller: &Poller,
-        results: &mut [Option<Result<Response, FleetError>>],
-    ) {
-        loop {
-            let Some(conn) = self.links[shard].conn.as_mut() else {
-                return;
-            };
-            if conn.out_pos >= conn.out.len() {
-                conn.out.clear();
-                conn.out_pos = 0;
-                let _ = poller.reregister(
-                    conn.stream.as_raw_fd(),
-                    Token(shard as u64),
-                    Interest::READ,
-                );
-                return;
-            }
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    self.fail_link(shard, "shard closed connection mid-write", results);
-                    return;
+        request: &Request,
+        call_idx: usize,
+        deadline: Deadline,
+    ) -> Result<(), String> {
+        let size = self.links.len();
+        let link = self
+            .links
+            .get_mut(shard)
+            .ok_or_else(|| format!("shard {shard} is not in the fleet (size {size})"))?;
+        let pipe = match link.pipe.take() {
+            Some(pipe) if pipe.in_flight() > 0 || !pipe.peer_closed() => pipe,
+            stale => {
+                if let Some(pipe) = stale {
+                    let _ = self.poller.deregister(pipe.fd());
                 }
-                Ok(n) => conn.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.fail_link(shard, &format!("write failed: {e}"), results);
-                    return;
-                }
+                self.dial(shard, deadline)?
             }
+        };
+        self.links[shard]
+            .pipe
+            .insert(pipe)
+            .send(request, call_idx)
+            .map_err(|e| format!("encode failed: {e}"))
+    }
+
+    /// Connects to a shard, bounded by the deadline, and registers the
+    /// new connection with the poller.
+    fn dial(&self, shard: usize, deadline: Deadline) -> Result<Pipe<usize>, String> {
+        let addr = &self.links[shard].addr;
+        let (stream, _retries) = dial(addr.as_str(), &self.retry, Some(deadline));
+        let pipe = stream
+            .and_then(Pipe::new)
+            .map_err(|e| format!("connect `{addr}`: {e}"))?;
+        self.poller
+            .register(pipe.fd(), Token(shard as u64), Interest::READ)
+            .map_err(|e| format!("poller registration for `{addr}`: {e}"))?;
+        Ok(pipe)
+    }
+
+    /// Writes as much queued output as the link's socket accepts,
+    /// subscribing to writability only while bytes stay queued.
+    fn flush(&mut self, shard: usize, results: &mut Slots) {
+        let Some(pipe) = self.links.get_mut(shard).and_then(|l| l.pipe.as_mut()) else {
+            return;
+        };
+        let flushed = pipe.flush().map_err(|e| e.to_string()).and_then(|()| {
+            pipe.interest_change().map_or(Ok(()), |want| {
+                self.poller
+                    .reregister(pipe.fd(), Token(shard as u64), want)
+                    .map_err(|e| format!("poller reregistration failed: {e}"))
+            })
+        });
+        if let Err(detail) = flushed {
+            self.fail_link(shard, &detail, results);
         }
     }
 
-    /// Reads available bytes and resolves complete frames against the
-    /// connection's FIFO of in-flight calls.
-    fn drain_in(&mut self, shard: usize, results: &mut [Option<Result<Response, FleetError>>]) {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            let Some(conn) = self.links[shard].conn.as_mut() else {
-                return;
-            };
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.fail_link(shard, "shard closed connection", results);
-                    return;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    loop {
-                        let Some(conn) = self.links[shard].conn.as_mut() else {
-                            return;
-                        };
-                        match proto::try_parse_frame(&conn.read_buf) {
-                            FrameProgress::Incomplete => break,
-                            FrameProgress::Frame { payload, consumed } => {
-                                conn.read_buf.drain(..consumed);
-                                let Some(call_idx) = conn.pending.pop_front() else {
-                                    self.fail_link(
-                                        shard,
-                                        "shard sent an unsolicited frame",
-                                        results,
-                                    );
-                                    return;
-                                };
-                                match Response::decode(&payload) {
-                                    Ok(response) => {
-                                        results[call_idx] = Some(Ok(response));
-                                    }
-                                    Err(e) => {
-                                        results[call_idx] = Some(Err(FleetError::Unavailable(
-                                            format!("undecodable reply: {e}"),
-                                        )));
-                                        self.fail_link(
-                                            shard,
-                                            "reply stream desynced",
-                                            results,
-                                        );
-                                        return;
-                                    }
-                                }
-                            }
-                            FrameProgress::Damaged(e) => {
-                                self.fail_link(shard, &format!("framing damage: {e}"), results);
-                                return;
-                            }
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.fail_link(shard, &format!("read failed: {e}"), results);
-                    return;
-                }
-            }
+    /// Resolves the calls whose replies have arrived on a link.
+    fn read(&mut self, shard: usize, results: &mut Slots) {
+        let Some(pipe) = self.links.get_mut(shard).and_then(|l| l.pipe.as_mut()) else {
+            return;
+        };
+        let mut replies = Vec::new();
+        let outcome = pipe.read(&mut replies);
+        for (call_idx, response) in replies {
+            results[call_idx] = Some(Ok(response));
+        }
+        if let Err(e) = outcome {
+            self.fail_link(shard, &e.to_string(), results);
         }
     }
 
     /// Resolves every pending call on a link to `Unavailable` and drops
     /// its connection (the stream's FIFO can no longer be trusted).
-    fn fail_link(
-        &mut self,
-        shard: usize,
-        detail: &str,
-        results: &mut [Option<Result<Response, FleetError>>],
-    ) {
-        if let Some(conn) = self.links[shard].conn.take() {
-            for call_idx in conn.pending {
-                if results[call_idx].is_none() {
-                    results[call_idx] = Some(Err(FleetError::Unavailable(format!(
-                        "{} ({detail})",
-                        self.links[shard].addr
-                    ))));
-                }
-            }
+    fn fail_link(&mut self, shard: usize, detail: &str, results: &mut Slots) {
+        let Some(pipe) = self.disconnect(shard) else {
+            return;
+        };
+        for call_idx in pipe.into_tags() {
+            results[call_idx].get_or_insert_with(|| {
+                Err(FleetError::Unavailable(format!(
+                    "{} ({detail})",
+                    self.links[shard].addr
+                )))
+            });
         }
+    }
+
+    /// Takes a link's connection out of the poller and the fleet.
+    fn disconnect(&mut self, shard: usize) -> Option<Pipe<usize>> {
+        let pipe = self.links.get_mut(shard)?.pipe.take()?;
+        let _ = self.poller.deregister(pipe.fd());
+        Some(pipe)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lotus_serve::proto::{read_frame, write_response};
     use lotus_serve::{spawn, ServeConfig};
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Instant;
 
     fn shard_daemon() -> lotus_serve::ServerHandle {
         spawn(ServeConfig {
@@ -501,5 +343,96 @@ mod tests {
             Deadline::after(Duration::from_millis(100)),
         );
         assert!(matches!(replies[0], Err(FleetError::Unavailable(_))));
+    }
+
+    /// A fake shard on a plain listener: it accepts one connection per
+    /// entry of `script`, reads one request on it and answers through
+    /// the entry. Returns the address and a handle yielding the
+    /// connections, held open until the test joins it.
+    fn fake_shard(
+        script: Vec<fn(&mut TcpStream)>,
+    ) -> (String, std::thread::JoinHandle<Vec<TcpStream>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let handle = std::thread::spawn(move || {
+            script
+                .into_iter()
+                .map(|answer| {
+                    let (mut conn, _) = listener.accept().expect("accept");
+                    read_frame(&mut conn).expect("request frame");
+                    answer(&mut conn);
+                    conn
+                })
+                .collect()
+        });
+        (addr, handle)
+    }
+
+    fn count(triangles: u64) -> Response {
+        Response::Count {
+            triangles,
+            cached: false,
+            wall_micros: 0,
+        }
+    }
+
+    #[test]
+    fn an_idle_link_closed_by_the_shard_is_redialed() {
+        let shard = spawn(ServeConfig {
+            workers: 2,
+            queue_capacity: 8,
+            idle_timeout: Duration::from_millis(200),
+            ..ServeConfig::default()
+        })
+        .expect("spawn shard daemon");
+        let mut fleet = Fleet::new(&[shard.addr().to_string()], RetryPolicy::serve_default(7));
+        let ping = [(0, Request::Ping)];
+        let deadline = || Deadline::after(Duration::from_secs(5));
+        assert_eq!(fleet.broadcast(&ping, deadline()), vec![Ok(Response::Pong)]);
+        // Well past the shard's idle timeout: it has closed the link.
+        std::thread::sleep(Duration::from_millis(1500));
+        assert_eq!(fleet.broadcast(&ping, deadline()), vec![Ok(Response::Pong)]);
+        shard.shutdown();
+    }
+
+    #[test]
+    fn a_late_reply_expires_and_never_answers_the_next_broadcast() {
+        let (addr, fake) = fake_shard(vec![
+            |conn| {
+                std::thread::sleep(Duration::from_millis(300));
+                let _ = write_response(conn, &count(1));
+            },
+            |conn| write_response(conn, &count(2)).expect("second reply"),
+        ]);
+        let mut fleet = Fleet::new(&[addr], RetryPolicy::no_retry());
+        let call = [(0, Request::Ping)];
+        let late = fleet.broadcast(&call, Deadline::after(Duration::from_millis(100)));
+        assert_eq!(late, vec![Err(FleetError::DeadlineExpired)]);
+        let next = fleet.broadcast(&call, Deadline::after(Duration::from_secs(5)));
+        assert_eq!(next, vec![Ok(count(2))], "the stale reply must not leak");
+        fake.join().expect("fake shard");
+    }
+
+    #[test]
+    fn a_damaged_frame_fails_fast_and_the_next_broadcast_redials() {
+        let (addr, fake) = fake_shard(vec![
+            |conn| conn.write_all(b"HTTP/1.1 200 OK\r\n\r\n").expect("garbage"),
+            |conn| write_response(conn, &Response::Pong).expect("reply"),
+        ]);
+        let mut fleet = Fleet::new(&[addr], RetryPolicy::no_retry());
+        let call = [(0, Request::Ping)];
+        let start = Instant::now();
+        let damaged = fleet.broadcast(&call, Deadline::after(Duration::from_secs(5)));
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "damage must not wait out the deadline"
+        );
+        assert!(
+            matches!(&damaged[0], Err(FleetError::Unavailable(detail)) if detail.contains("framing damage")),
+            "{damaged:?}"
+        );
+        let next = fleet.broadcast(&call, Deadline::after(Duration::from_secs(5)));
+        assert_eq!(next, vec![Ok(Response::Pong)]);
+        assert_eq!(fake.join().expect("fake shard").len(), 2, "one re-dial");
     }
 }

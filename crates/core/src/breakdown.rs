@@ -49,11 +49,13 @@ impl Breakdown {
     }
 }
 
+/// Microsecond resolution, like `lotus count`'s `time:` line: a
+/// sub-millisecond count still shows where its time went.
 impl fmt::Display for Breakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "pre={:.3}s hhh+hhn={:.3}s hnn={:.3}s nnn={:.3}s (total {:.3}s)",
+            "pre={:.6}s hhh+hhn={:.6}s hnn={:.6}s nnn={:.6}s (total {:.6}s)",
             self.preprocess.as_secs_f64(),
             self.hhh_hhn.as_secs_f64(),
             self.hnn.as_secs_f64(),
@@ -93,5 +95,18 @@ mod tests {
         let b = Breakdown::default();
         let s = b.to_string();
         assert!(s.contains("pre=") && s.contains("nnn="));
+    }
+
+    #[test]
+    fn display_resolves_sub_millisecond_phases() {
+        let b = Breakdown {
+            hnn: Duration::from_micros(385),
+            nnn: Duration::from_micros(7),
+            ..Breakdown::default()
+        };
+        let s = b.to_string();
+        assert!(s.contains("hnn=0.000385s"), "{s}");
+        assert!(s.contains("nnn=0.000007s"), "{s}");
+        assert!(s.contains("(total 0.000392s)"), "{s}");
     }
 }

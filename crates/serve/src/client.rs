@@ -3,9 +3,10 @@
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use lotus_resilience::retry::{is_transient_io, retry, RetryPolicy};
+use lotus_resilience::retry::RetryPolicy;
 
-use crate::proto::{read_response, write_request, ErrorKind, ProtoError, Request, Response};
+use crate::pipe::dial;
+use crate::proto::{read_response, write_request, ProtoError, Request, Response};
 
 /// One connection to a daemon; requests run strictly in order.
 #[derive(Debug)]
@@ -14,14 +15,13 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to `addr` (any `host:port` form).
+    /// Connects to `addr` (any `host:port` form), without retries.
     ///
     /// # Errors
     /// Returns the connect failure as [`ProtoError::Io`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ProtoError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        let (stream, _) = dial(addr, &RetryPolicy::no_retry(), None);
+        Ok(Client { stream: stream? })
     }
 
     /// Connects with capped-backoff retries on *transient* connect
@@ -35,12 +35,8 @@ impl Client {
         addr: &str,
         policy: &RetryPolicy,
     ) -> Result<(Client, u32), ProtoError> {
-        let (result, retries) = retry(
-            policy,
-            |e: &ProtoError| matches!(e, ProtoError::Io(io) if is_transient_io(io)),
-            || Client::connect(addr),
-        );
-        result.map(|client| (client, retries))
+        let (stream, retries) = dial(addr, policy, None);
+        Ok((Client { stream: stream? }, retries))
     }
 
     /// Bounds how long one [`Client::call`] may wait for its response.
@@ -60,39 +56,5 @@ impl Client {
     pub fn call(&mut self, request: &Request) -> Result<Response, ProtoError> {
         write_request(&mut self.stream, request)?;
         read_response(&mut self.stream)
-    }
-
-    /// Like [`Client::call`], but retries `Overloaded` rejections under
-    /// `policy` (the daemon answered — the connection stays usable, the
-    /// queue was just full). Returns the final response plus how many
-    /// retries were spent. Transport errors are *not* retried here: the
-    /// stream cannot be resynchronized, so the caller must reconnect.
-    ///
-    /// # Errors
-    /// The same failures as [`Client::call`], from whichever attempt
-    /// failed.
-    pub fn call_with_retry(
-        &mut self,
-        request: &Request,
-        policy: &RetryPolicy,
-    ) -> Result<(Response, u32), ProtoError> {
-        let mut retries = 0;
-        loop {
-            let attempt = retries + 1;
-            let response = self.call(request)?;
-            let overloaded = matches!(
-                response,
-                Response::Error {
-                    kind: ErrorKind::Overloaded,
-                    ..
-                }
-            );
-            if overloaded && policy.should_retry(attempt) {
-                std::thread::sleep(policy.delay_for(attempt));
-                retries += 1;
-                continue;
-            }
-            return Ok((response, retries));
-        }
     }
 }

@@ -16,6 +16,9 @@
 //! - [`server`] — the daemon itself: the registry-backed handler,
 //!   per-request deadlines, panic isolation, durability.
 //! - [`client`] — a minimal blocking client.
+//! - [`pipe`] — the client side of one nonblocking, pipelined
+//!   connection (used by the loadgen and the cluster fleet), and the
+//!   [`pipe::dial`] helper every client connects through.
 //! - [`loadgen`] — the load-generator harness measuring request
 //!   latency percentiles for the BENCH `serve` section.
 //!
@@ -30,6 +33,7 @@ pub mod event_loop;
 pub mod journal;
 pub mod loadgen;
 pub(crate) mod mux;
+pub mod pipe;
 pub mod pool;
 pub mod proto;
 pub mod recovery;

@@ -14,10 +14,6 @@
 //! `retries` but not `sent`, and each logical request is classified
 //! exactly once.
 
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use lotus_net::{Events, Interest, Poller, Token};
@@ -26,7 +22,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::loadgen::{pick_request, LoadgenConfig, LoadgenReport};
-use crate::proto::{try_parse_frame, write_request, ErrorKind, FrameProgress, Response};
+use crate::pipe::{dial, Pipe, PipeError};
+use crate::proto::{ErrorKind, Request, Response};
 
 /// A connection with requests outstanding but no response bytes for
 /// this long fails the run — a hung daemon must not hang CI.
@@ -38,7 +35,7 @@ const MAX_WAIT: Duration = Duration::from_millis(100);
 
 /// One in-flight attempt of a logical request.
 struct Flight {
-    request: crate::proto::Request,
+    request: Request,
     attempt: u32,
     sent_at: Instant,
 }
@@ -52,15 +49,10 @@ struct ParkedRetry {
 
 /// One multiplexed client connection.
 struct MuxConn {
-    stream: TcpStream,
+    /// Attempts on the wire ride the pipe as its tags, in send order.
+    pipe: Pipe<Flight>,
     rng: SmallRng,
     retry: RetryPolicy,
-    read_buf: Vec<u8>,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Attempts on the wire, in send order. The daemon answers frames
-    /// in order, so the front entry always owns the next response.
-    outstanding: VecDeque<Flight>,
     /// Logical requests picked so far. The mix is derived per
     /// connection, so pipelining cannot perturb the stream.
     issued: usize,
@@ -70,20 +62,56 @@ struct MuxConn {
     /// otherwise a retry storm would exceed the pipeline depth).
     parked: usize,
     last_rx: Instant,
-    interest: Interest,
-    registered: bool,
+    /// Failed or closed: out of the poller and no longer driven.
     dead: bool,
 }
 
 impl MuxConn {
+    fn new(pipe: Pipe<Flight>, config: &LoadgenConfig, index: usize, retry: RetryPolicy) -> Self {
+        MuxConn {
+            pipe,
+            rng: SmallRng::seed_from_u64(
+                config
+                    .seed
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(index as u64),
+            ),
+            retry,
+            issued: 0,
+            completed: 0,
+            parked: 0,
+            last_rx: Instant::now(),
+            dead: false,
+        }
+    }
+
     /// Still has work to issue or answers to collect.
     fn finished(&self, requests: usize) -> bool {
-        self.dead || (self.completed >= requests && self.outstanding.is_empty())
+        self.dead || (self.completed >= requests && self.pipe.in_flight() == 0)
     }
 
     fn window_free(&self, pipeline: usize, requests: usize) -> bool {
-        self.issued < requests && self.outstanding.len() + self.parked < pipeline
+        self.issued < requests && self.pipe.in_flight() + self.parked < pipeline
     }
+
+    /// Queues one attempt. Encoding cannot fail for the generated mix;
+    /// if it did, dropping the attempt is safer than desynchronizing
+    /// the response window.
+    fn send(&mut self, flight: Flight) {
+        let request = flight.request.clone();
+        let _ = self.pipe.send(&request, flight);
+    }
+}
+
+/// The run's poller, measurements and retry queue, shared by every
+/// connection.
+struct Driver<'a> {
+    config: &'a LoadgenConfig,
+    poller: Poller,
+    report: LoadgenReport,
+    parked: Vec<ParkedRetry>,
+    start: Instant,
+    completions_us: Vec<u64>,
 }
 
 /// Drives the full run over one poller on the calling thread.
@@ -94,11 +122,7 @@ impl MuxConn {
 /// *measurements* (counted in the report), not errors.
 pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport, String> {
     let pipeline = config.pipeline.max(1);
-    let poller = Poller::new().map_err(|e| format!("opening poller: {e}"))?;
-    let mut report = LoadgenReport {
-        connections: config.connections,
-        ..LoadgenReport::default()
-    };
+    let mut driver = Driver::new(config)?;
 
     // Connect sequentially and blocking: a burst of nonblocking
     // connects overflows the listener's SYN backlog, which shows up as
@@ -111,38 +135,22 @@ pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport
             seed: config.retry.seed.wrapping_add(index as u64),
             ..config.retry
         };
-        match connect_with_retry(&config.addr, &retry, &mut report.retries) {
-            Ok(stream) => {
-                let token = conns.len() as u64;
-                let conn = MuxConn {
-                    stream,
-                    rng: SmallRng::seed_from_u64(
-                        config
-                            .seed
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            .wrapping_add(index as u64),
-                    ),
-                    retry,
-                    read_buf: Vec::new(),
-                    out: Vec::new(),
-                    out_pos: 0,
-                    outstanding: VecDeque::new(),
-                    issued: 0,
-                    completed: 0,
-                    parked: 0,
-                    last_rx: Instant::now(),
-                    interest: Interest::READ,
-                    registered: true,
-                    dead: false,
-                };
-                poller
-                    .register(conn.stream.as_raw_fd(), Token(token), conn.interest)
+        let (stream, retries) = dial(config.addr.as_str(), &retry, None);
+        driver.report.retries += u64::from(retries);
+        match stream.and_then(Pipe::new) {
+            Ok(pipe) => {
+                driver
+                    .poller
+                    .register(pipe.fd(), Token(conns.len() as u64), Interest::READ)
                     .map_err(|e| format!("registering connection {index}: {e}"))?;
-                conns.push(conn);
+                conns.push(MuxConn::new(pipe, config, index, retry));
             }
             Err(e) => {
                 connect_failures += 1;
-                connect_failure.get_or_insert(format!("connection {index}: {e}"));
+                connect_failure.get_or_insert(format!(
+                    "connection {index}: connecting to {}: {e}",
+                    config.addr
+                ));
             }
         }
     }
@@ -151,16 +159,14 @@ pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport
             connect_failure.unwrap_or_else(|| "no connection could be established".to_string())
         );
     }
-    report.errors += connect_failures;
-    report.open_conns = conns.len() as u64;
+    driver.report.errors += connect_failures;
+    driver.report.open_conns = conns.len() as u64;
 
-    let start = Instant::now();
-    let mut completions_us: Vec<u64> = Vec::new();
-    let mut parked: Vec<ParkedRetry> = Vec::new();
+    driver.start = Instant::now();
     let mut events = Events::with_capacity(1024);
 
     loop {
-        // Fill every free pipeline slot, flush, and settle interest.
+        // Fill every free pipeline slot and flush.
         for (i, conn) in conns.iter_mut().enumerate() {
             if conn.dead || conn.completed >= config.requests {
                 continue;
@@ -168,76 +174,57 @@ pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport
             while conn.window_free(pipeline, config.requests) {
                 let request = pick_request(&mut conn.rng, config, vertices);
                 conn.issued += 1;
-                send_attempt(
-                    conn,
-                    Flight {
-                        request,
-                        attempt: 0,
-                        sent_at: Instant::now(),
-                    },
-                );
+                conn.send(Flight {
+                    request,
+                    attempt: 0,
+                    sent_at: Instant::now(),
+                });
             }
-            flush_out(conn);
-            refresh(&poller, i, conn);
+            driver.flush(i, conn);
         }
 
-        if parked.is_empty() && conns.iter().all(|c| c.finished(config.requests)) {
+        if driver.parked.is_empty() && conns.iter().all(|c| c.finished(config.requests)) {
             break;
         }
 
         // Wait for readiness, bounded by the nearest parked retry.
         let now = Instant::now();
-        let timeout = parked
+        let timeout = driver
+            .parked
             .iter()
             .map(|p| p.due.saturating_duration_since(now))
             .min()
             .unwrap_or(MAX_WAIT)
             .clamp(Duration::from_millis(1), MAX_WAIT);
-        let _ = poller.wait(&mut events, Some(timeout));
+        let _ = driver.poller.wait(&mut events, Some(timeout));
 
         for event in &events {
             let idx = event.token.0 as usize;
             let Some(conn) = conns.get_mut(idx) else {
                 continue;
             };
-            if conn.dead {
-                continue;
-            }
             if event.writable {
-                flush_out(conn);
+                driver.flush(idx, conn);
             }
             if event.readable || event.closed {
-                pump_responses(
-                    conn,
-                    config,
-                    &mut report,
-                    &mut parked,
-                    idx,
-                    start,
-                    &mut completions_us,
-                );
+                driver.pump(idx, conn);
             }
-            refresh(&poller, idx, conn);
         }
 
         // Re-send parked retries whose backoff has elapsed.
         let now = Instant::now();
         let mut i = 0;
-        while i < parked.len() {
-            if parked[i].due <= now {
-                let entry = parked.swap_remove(i);
+        while i < driver.parked.len() {
+            if driver.parked[i].due <= now {
+                let entry = driver.parked.swap_remove(i);
                 let conn = &mut conns[entry.conn];
                 conn.parked -= 1;
                 if !conn.dead {
-                    send_attempt(
-                        conn,
-                        Flight {
-                            sent_at: Instant::now(),
-                            ..entry.flight
-                        },
-                    );
-                    flush_out(conn);
-                    refresh(&poller, entry.conn, conn);
+                    conn.send(Flight {
+                        sent_at: Instant::now(),
+                        ..entry.flight
+                    });
+                    driver.flush(entry.conn, conn);
                 }
             } else {
                 i += 1;
@@ -245,216 +232,134 @@ pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport
         }
 
         // Stall detection: outstanding work but no response bytes.
-        for conn in conns.iter_mut().filter(|c| !c.dead) {
-            if !conn.outstanding.is_empty()
+        for conn in &mut conns {
+            if !conn.dead
+                && conn.pipe.in_flight() > 0
                 && now.saturating_duration_since(conn.last_rx) > STALL_TIMEOUT
             {
-                fail_connection(conn, &mut report);
-            }
-        }
-        for (i, conn) in conns.iter_mut().enumerate() {
-            if conn.dead {
-                refresh(&poller, i, conn);
+                driver.fail(conn);
             }
         }
     }
 
-    report.wall_ms = start.elapsed().as_millis() as u64;
+    let mut report = driver.report;
+    report.wall_ms = driver.start.elapsed().as_millis() as u64;
     report.latencies_us.sort_unstable();
-    report.max_sustained_rps = max_sustained_rps(&mut completions_us, report.wall_ms);
+    report.max_sustained_rps = max_sustained_rps(&mut driver.completions_us, report.wall_ms);
     if report.sent == 0 {
         return Err("run produced no measurements (all connections failed)".to_string());
     }
     Ok(report)
 }
 
-/// Blocking connect honouring the retry schedule, mirroring
-/// `Client::connect_with_retry` (each retried connect counts into the
-/// report's `retries`).
-fn connect_with_retry(
-    addr: &str,
-    retry: &RetryPolicy,
-    retries: &mut u64,
-) -> Result<TcpStream, String> {
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                stream
-                    .set_nonblocking(true)
-                    .map_err(|e| format!("set_nonblocking: {e}"))?;
-                return Ok(stream);
-            }
-            Err(e) => {
-                if !retry.should_retry(attempt) {
-                    return Err(format!("connecting to {addr}: {e}"));
-                }
-                *retries += 1;
-                std::thread::sleep(retry.delay_for(attempt));
-            }
-        }
+impl<'a> Driver<'a> {
+    fn new(config: &'a LoadgenConfig) -> Result<Self, String> {
+        Ok(Driver {
+            config,
+            poller: Poller::new().map_err(|e| format!("opening poller: {e}"))?,
+            report: LoadgenReport {
+                connections: config.connections,
+                ..LoadgenReport::default()
+            },
+            parked: Vec::new(),
+            start: Instant::now(),
+            completions_us: Vec::new(),
+        })
     }
-}
 
-/// Encodes one attempt onto the connection's write buffer and tracks
-/// it at the back of the outstanding window.
-fn send_attempt(conn: &mut MuxConn, flight: Flight) {
-    if write_request(&mut conn.out, &flight.request).is_err() {
-        // Unreachable for the generated mix; dropping the attempt is
-        // safer than desynchronizing the response window.
-        return;
-    }
-    conn.outstanding.push_back(flight);
-}
-
-/// Reads everything available, matches responses front-to-back, and
-/// classifies outcomes / schedules overload retries.
-fn pump_responses(
-    conn: &mut MuxConn,
-    config: &LoadgenConfig,
-    report: &mut LoadgenReport,
-    parked: &mut Vec<ParkedRetry>,
-    conn_idx: usize,
-    start: Instant,
-    completions_us: &mut Vec<u64>,
-) {
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match (&conn.stream).read(&mut chunk) {
-            Ok(0) => {
-                // EOF: only an error if the daemon still owed answers.
-                if !conn.outstanding.is_empty() || conn.completed < config.requests {
-                    fail_connection(conn, report);
-                } else {
-                    conn.dead = true;
-                }
-                break;
-            }
-            Ok(n) => {
-                conn.last_rx = Instant::now();
-                conn.read_buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                fail_connection(conn, report);
-                return;
-            }
-        }
-    }
-    loop {
-        match try_parse_frame(&conn.read_buf) {
-            FrameProgress::Incomplete => break,
-            FrameProgress::Damaged(_) => {
-                fail_connection(conn, report);
-                return;
-            }
-            FrameProgress::Frame { payload, consumed } => {
-                conn.read_buf.drain(..consumed);
-                let Ok(response) = Response::decode(&payload) else {
-                    fail_connection(conn, report);
-                    return;
-                };
-                let Some(flight) = conn.outstanding.pop_front() else {
-                    // A response nobody asked for: protocol violation.
-                    fail_connection(conn, report);
-                    return;
-                };
-                report
-                    .latencies_us
-                    .push(flight.sent_at.elapsed().as_micros() as u64);
-                let overloaded = matches!(
-                    &response,
-                    Response::Error {
-                        kind: ErrorKind::Overloaded,
-                        ..
-                    }
-                );
-                let attempt = flight.attempt + 1;
-                if overloaded && conn.retry.should_retry(attempt) {
-                    report.retries += 1;
-                    conn.parked += 1;
-                    parked.push(ParkedRetry {
-                        due: Instant::now() + conn.retry.delay_for(attempt),
-                        conn: conn_idx,
-                        flight: Flight { attempt, ..flight },
-                    });
-                    continue;
-                }
-                conn.completed += 1;
-                report.sent += 1;
-                completions_us.push(start.elapsed().as_micros() as u64);
-                match response {
-                    Response::Error { kind, .. } => match kind {
-                        ErrorKind::Overloaded => report.overloaded += 1,
-                        ErrorKind::DeadlineExpired => report.deadline_expired += 1,
-                        _ => report.errors += 1,
-                    },
-                    _ => report.ok += 1,
-                }
-            }
-        }
-    }
-}
-
-/// Transport or protocol damage mid-run: count one error (and one
-/// sent) and stop driving this connection; the others keep measuring.
-fn fail_connection(conn: &mut MuxConn, report: &mut LoadgenReport) {
-    report.errors += 1;
-    report.sent += 1;
-    conn.dead = true;
-    conn.outstanding.clear();
-}
-
-/// Writes as much buffered request data as the socket accepts.
-fn flush_out(conn: &mut MuxConn) {
-    if conn.dead {
-        return;
-    }
-    while conn.out_pos < conn.out.len() {
-        match (&conn.stream).write(&conn.out[conn.out_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return;
-            }
-            Ok(n) => conn.out_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-    conn.out.clear();
-    conn.out_pos = 0;
-}
-
-/// Keeps write interest registered only while bytes are queued, and
-/// drops dead connections out of the poller.
-fn refresh(poller: &Poller, idx: usize, conn: &mut MuxConn) {
-    if conn.dead {
-        if conn.registered {
-            let _ = poller.deregister(conn.stream.as_raw_fd());
-            conn.registered = false;
-        }
-        return;
-    }
-    let want = Interest {
-        readable: true,
-        writable: conn.out_pos < conn.out.len(),
-    };
-    if want != conn.interest {
-        if poller
-            .reregister(conn.stream.as_raw_fd(), Token(idx as u64), want)
-            .is_err()
-        {
-            conn.dead = true;
+    /// Writes what the socket accepts and keeps write interest
+    /// registered only while bytes stay queued.
+    fn flush(&mut self, idx: usize, conn: &mut MuxConn) {
+        if conn.dead {
             return;
         }
-        conn.interest = want;
+        let flushed = conn.pipe.flush().is_ok()
+            && conn.pipe.interest_change().is_none_or(|want| {
+                self.poller
+                    .reregister(conn.pipe.fd(), Token(idx as u64), want)
+                    .is_ok()
+            });
+        if !flushed {
+            self.fail(conn);
+        }
+    }
+
+    /// Reads everything available and settles each reply in order.
+    fn pump(&mut self, idx: usize, conn: &mut MuxConn) {
+        if conn.dead {
+            return;
+        }
+        let mut replies = Vec::new();
+        let outcome = conn.pipe.read(&mut replies);
+        if matches!(outcome, Ok(n) if n > 0) {
+            conn.last_rx = Instant::now();
+        }
+        for (flight, response) in replies {
+            self.settle(idx, conn, flight, response);
+        }
+        match outcome {
+            Ok(_) => {}
+            // EOF is only an error while the daemon still owed answers.
+            Err(PipeError::Closed) if conn.finished(self.config.requests) => self.retire(conn),
+            Err(_) => self.fail(conn),
+        }
+    }
+
+    /// Classifies one reply, or parks its attempt for a backoff retry
+    /// when it was an `Overloaded` rejection with retries left.
+    fn settle(&mut self, idx: usize, conn: &mut MuxConn, flight: Flight, response: Response) {
+        self.report
+            .latencies_us
+            .push(flight.sent_at.elapsed().as_micros() as u64);
+        let overloaded = matches!(
+            &response,
+            Response::Error {
+                kind: ErrorKind::Overloaded,
+                ..
+            }
+        );
+        let attempt = flight.attempt + 1;
+        if overloaded && conn.retry.should_retry(attempt) {
+            self.report.retries += 1;
+            conn.parked += 1;
+            self.parked.push(ParkedRetry {
+                due: Instant::now() + conn.retry.delay_for(attempt),
+                conn: idx,
+                flight: Flight { attempt, ..flight },
+            });
+            return;
+        }
+        conn.completed += 1;
+        self.report.sent += 1;
+        self.completions_us
+            .push(self.start.elapsed().as_micros() as u64);
+        match response {
+            Response::Error { kind, .. } => match kind {
+                ErrorKind::Overloaded => self.report.overloaded += 1,
+                ErrorKind::DeadlineExpired => self.report.deadline_expired += 1,
+                _ => self.report.errors += 1,
+            },
+            _ => self.report.ok += 1,
+        }
+    }
+
+    /// Transport or protocol damage mid-run: count one error (and one
+    /// sent) and stop driving this connection; the others keep
+    /// measuring. Every failure path of a connection ends here, and a
+    /// connection fails at most once.
+    fn fail(&mut self, conn: &mut MuxConn) {
+        if conn.dead {
+            return;
+        }
+        self.report.errors += 1;
+        self.report.sent += 1;
+        self.retire(conn);
+    }
+
+    /// Stops driving a connection and drops it from the poller.
+    fn retire(&self, conn: &mut MuxConn) {
+        conn.dead = true;
+        let _ = self.poller.deregister(conn.pipe.fd());
     }
 }
 
@@ -483,6 +388,114 @@ fn max_sustained_rps(completions_us: &mut [u64], wall_ms: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{read_frame, write_response, NO_DEADLINE};
+    use std::io::Read;
+    use std::net::{Shutdown, TcpListener, TcpStream};
+
+    fn config(addr: &str, connections: usize) -> LoadgenConfig {
+        LoadgenConfig {
+            addr: addr.to_string(),
+            connections,
+            requests: 50,
+            seed: 3,
+            graph: "rmat:9:8:7".to_string(),
+            deadline_ms: NO_DEADLINE,
+            retry: RetryPolicy::serve_default(3),
+            pipeline: 4,
+            cluster: false,
+        }
+    }
+
+    /// Closes the write half and reads until the client hangs up, so
+    /// the close is a clean FIN, never a reset.
+    fn hang_up(mut peer: TcpStream) {
+        let _ = peer.shutdown(Shutdown::Write);
+        let _ = std::io::copy(&mut peer, &mut std::io::sink());
+    }
+
+    fn answer_one(peer: &mut TcpStream, response: &Response) {
+        read_frame(peer).expect("request frame");
+        write_response(peer, response).expect("reply");
+    }
+
+    #[test]
+    fn peers_leaving_mid_run_count_one_error_per_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let peers = std::thread::spawn(move || {
+            let mut handlers = Vec::new();
+            for k in 0..8 {
+                let (mut peer, _) = listener.accept().expect("accept");
+                handlers.push(std::thread::spawn(move || match k % 4 {
+                    0 => hang_up(peer),
+                    1 => {
+                        answer_one(&mut peer, &Response::Pong);
+                        hang_up(peer);
+                    }
+                    2 => {
+                        let overloaded = Response::error(ErrorKind::Overloaded, "full");
+                        answer_one(&mut peer, &overloaded);
+                        hang_up(peer);
+                    }
+                    // Leave requests unread and drop: the kernel resets.
+                    _ => {
+                        let _ = peer.read(&mut [0u8; 1]);
+                    }
+                }));
+            }
+            handlers
+        });
+        let report = run(&config(&addr, 8), 512).expect("run measures");
+        for handler in peers.join().expect("peers") {
+            handler.join().expect("peer");
+        }
+        assert_eq!(report.errors, 8, "{report:?}");
+        assert_eq!(report.ok, 2, "{report:?}");
+        assert_eq!(report.sent, 10, "{report:?}");
+        assert!(report.retries >= 2, "{report:?}");
+    }
+
+    #[test]
+    fn a_write_side_reset_counts_one_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let config = config(&addr, 1);
+        let mut driver = Driver::new(&config).expect("driver");
+        let stream = dial(addr.as_str(), &RetryPolicy::no_retry(), None)
+            .0
+            .expect("dial");
+        let pipe = Pipe::new(stream).expect("pipe");
+        driver
+            .poller
+            .register(pipe.fd(), Token(0), Interest::READ)
+            .expect("register");
+        let mut conn = MuxConn::new(pipe, &config, 0, config.retry);
+        let (peer, _) = listener.accept().expect("accept");
+
+        let flight = || Flight {
+            request: Request::Ping,
+            attempt: 0,
+            sent_at: Instant::now(),
+        };
+        conn.send(flight());
+        driver.flush(0, &mut conn);
+        // The peer drops with the request unread, so the kernel resets
+        // the connection; wait until the reset has arrived.
+        peer.peek(&mut [0u8; 1]).expect("request arrives");
+        drop(peer);
+        let start = Instant::now();
+        while !conn.pipe.peer_closed() {
+            assert!(start.elapsed() < Duration::from_secs(5), "reset never seen");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        conn.send(flight());
+        driver.flush(0, &mut conn);
+        assert!(conn.dead, "a write into a reset connection fails it");
+        driver.pump(0, &mut conn);
+        driver.flush(0, &mut conn);
+        assert_eq!(driver.report.errors, 1);
+        assert_eq!(driver.report.sent, 1);
+    }
 
     #[test]
     fn sustained_rps_finds_the_densest_window() {
